@@ -999,7 +999,7 @@ def _run_analyze(args: argparse.Namespace, config, engine) -> int:
         except (OSError, UnicodeDecodeError):
             text = None  # let the normal path produce the located error
         if text is not None and replayable:
-            payload = engine.cached_run(text, config)
+            payload = engine.cached_run(text, config, bool(args.explain))
             if payload is not None and _payload_serves(payload, args):
                 return _replay_cached_run(payload, args, engine)
 
@@ -1058,7 +1058,7 @@ def _run_analyze(args: argparse.Namespace, config, engine) -> int:
         )
         print(f"[{len(paths)} Graphviz files written to {args.dot}]")
     if engine is not None and text is not None and replayable:
-        engine.record_run(text, config, result)
+        engine.record_run(text, config, result, provenance)
     if engine is not None and engine.cache is not None:
         report = engine.finish_incremental(args.file)
         if report is not None and args.explain_invalidation:
@@ -1138,7 +1138,7 @@ def _run_link(args: argparse.Namespace, config, engine) -> int:
 
     if (engine is not None and engine.cache is not None
             and opt_passes is None):
-        payload = engine.cached_run(bundle, config)
+        payload = engine.cached_run(bundle, config, bool(args.explain))
         if payload is not None and _payload_serves(payload, args):
             return _replay_cached_run(payload, args, engine)
 
@@ -1191,7 +1191,7 @@ def _run_link(args: argparse.Namespace, config, engine) -> int:
         print("\n--- statistics ---")
         print(collect_statistics(result).format())
     if engine is not None and opt_passes is None:
-        engine.record_run(bundle, config, result)
+        engine.record_run(bundle, config, result, provenance)
     if engine is not None and engine.cache is not None:
         report = engine.finish_incremental(label)
         if report is not None and args.explain_invalidation:

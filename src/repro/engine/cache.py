@@ -6,24 +6,34 @@ concurrent readers/writers (parallel workers, simultaneous CLI runs)
 can never observe a torn entry. A version bump simply orphans the old
 ``v<N>`` directory.
 
-Entries are **checksummed**: the stored object is a wrapper
-``{"sha256": <digest of canonical body JSON>, "body": <payload>}``,
-verified on every read. The atomic-rename protocol already rules out
-*torn* entries, but a long-lived daemon also has to survive what rename
-cannot prevent — bit rot, a concurrent writer with a different code
-version, an operator editing cache files, or a filesystem that lied
-about durability. Any entry that fails to parse, lacks the wrapper
-shape, or whose body hashes differently is **quarantined**: counted as
-a miss, renamed to ``<entry>.corrupt`` (so the bad bytes are kept for
-forensics but never consulted again), and surfaced through the
-``cache_quarantined`` metric. Warm reuse is only sound if stale or
-corrupt state is detected and evicted; a quarantined entry is simply
-recomputed.
+Entries are **checksummed**: a stored entry is exactly the bytes
+``{"sha256":"<hex>","body":<body>}``, where ``<body>`` is the payload
+encoded once in canonical form (compact, sorted keys) and ``<hex>`` is
+the sha256 of those body bytes (:func:`payload_digest`). A read checks
+that byte layout, hashes the stored body bytes and decodes them once;
+it never re-encodes the payload. The atomic-rename protocol already
+rules out *torn* entries, but a long-lived daemon also has to survive
+what rename cannot prevent — bit rot, a concurrent writer with a
+different code version, an operator editing cache files, or a
+filesystem that lied about durability. Any entry that is not in that
+layout, whose body hashes differently, or whose body does not parse is
+**quarantined**: counted as a miss, renamed to ``<entry>.corrupt`` (so
+the bad bytes are kept for forensics but never consulted again), and
+surfaced through the ``cache_quarantined`` metric. Warm reuse is only
+sound if stale or corrupt state is detected and evicted; a quarantined
+entry is simply recomputed.
+
+A read costs one file read, one sha256 over the body bytes and one
+JSON decode, all proportional to the entry's size — which is why
+``--explain`` provenance, the bulk of a whole-run outcome, lives in its
+own ``prov`` entry that only explaining requests read.
 
 Namespaces in use: ``ret`` (return jump functions per procedure),
 ``fwd`` (forward jump functions per procedure), ``sub`` (substitution
 measurements per procedure), ``run`` (whole-run outcomes keyed on
 source digest + config fingerprint — the ``repro analyze`` fast path),
+``prov`` (the ``--explain`` provenance of a recorded run, under the
+same key as its ``run`` entry), ``opt`` (whole optimization outcomes),
 ``man`` (incremental manifests).
 
 This is the *cross-run* summary tier. Within one run, workers exchange
@@ -66,12 +76,25 @@ def default_cache_root() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
+#: The stored byte layout around the body and its digest.
+_HEAD = b'{"sha256":"'
+_SEP = b'","body":'
+_DIGEST_END = len(_HEAD) + 64
+_BODY_START = _DIGEST_END + len(_SEP)
+
+
+def _canonical(payload) -> bytes:
+    """Key-sorted compact JSON, so semantically equal payloads encode
+    (and hash) equally regardless of insertion order."""
+    return json.dumps(
+        payload, separators=(",", ":"), sort_keys=True
+    ).encode("utf-8")
+
+
 def payload_digest(payload) -> str:
-    """Canonical content hash of a cache body (key-sorted compact JSON,
-    so semantically equal payloads hash equally regardless of insertion
-    order)."""
-    text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """Canonical content hash of a cache body: the sha256 of its
+    canonical JSON text, as stored in the entry's ``sha256`` field."""
+    return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
 @dataclass
@@ -131,46 +154,45 @@ class SummaryCache:
     def get(self, namespace: str, key: str) -> Optional[dict]:
         path = self._path(namespace, key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError:
             with self._lock:
                 self.stats.misses += 1
             return None
-        try:
-            wrapper = json.loads(text)
-        except ValueError:
-            # Unparseable bytes under the checksummed layout mean the
-            # entry was torn or rotted after the atomic rename.
-            self._quarantine(namespace, path, "unparseable")
-            return None
-        if (
-            not isinstance(wrapper, dict)
-            or "sha256" not in wrapper
-            or "body" not in wrapper
+        if not (
+            data.startswith(_HEAD)
+            and data.startswith(_SEP, _DIGEST_END)
+            and data.endswith(b"}")
         ):
-            self._quarantine(namespace, path, "missing checksum wrapper")
+            # Torn, rotted, or rewritten by anything but put().
+            self._quarantine(namespace, path, "not the checksummed layout")
             return None
-        body = wrapper["body"]
-        if payload_digest(body) != wrapper["sha256"]:
+        body = data[_BODY_START:-1]
+        digest = data[len(_HEAD):_DIGEST_END]
+        if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
             self._quarantine(namespace, path, "digest mismatch")
+            return None
+        try:
+            payload = json.loads(body)
+        except ValueError:
+            self._quarantine(namespace, path, "unparseable")
             return None
         with self._lock:
             self.stats.hits += 1
-        return body
+        return payload
 
     def put(self, namespace: str, key: str, payload: dict) -> None:
         path = self._path(namespace, key)
         directory = os.path.dirname(path)
-        digest = payload_digest(payload)
-        text = json.dumps(
-            {"sha256": digest, "body": payload}, separators=(",", ":")
-        )
+        body = _canonical(payload)
+        digest = hashlib.sha256(body).hexdigest().encode("ascii")
+        data = b"".join((_HEAD, digest, _SEP, body, b"}"))
         # Fault-injection points: tear, rot, or fail this write.
         if faults.fire("truncate-cache", namespace=namespace) is not None:
-            text = text[: max(1, len(text) // 2)]
+            data = data[: max(1, len(data) // 2)]
         if faults.fire("corrupt-cache", namespace=namespace) is not None:
-            text = text.replace(digest, "0" * len(digest), 1)
+            data = data.replace(digest, b"0" * len(digest), 1)
         try:
             if faults.fire("fail-write", namespace=namespace) is not None:
                 raise OSError("injected cache write failure")
@@ -182,8 +204,8 @@ class SummaryCache:
             self._note_store_failure()
             return
         try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(data)
             os.replace(temp_path, path)
         except OSError:
             # A full/read-only cache disk degrades to a smaller cache,

@@ -802,9 +802,13 @@ class Engine:
 
     # -- whole-run result cache ----------------------------------------------
 
-    def cached_run(self, text: str, config: AnalysisConfig) -> Optional[dict]:
+    def cached_run(self, text: str, config: AnalysisConfig,
+                   explain: bool = False) -> Optional[dict]:
         """Look up a whole (source, config) outcome — the CLI fast path
-        that skips parsing entirely on an unchanged input."""
+        that skips parsing entirely on an unchanged input. With
+        ``explain``, a hit also carries ``provenance`` from
+        :meth:`cached_provenance` (None when that entry is missing or
+        quarantined); plain replays never read it."""
         if self.cache is None:
             return None
         payload = self.cache.get("run", fingerprint.run_key(text, config))
@@ -816,17 +820,33 @@ class Engine:
             trace.instant(
                 "run_cache.hit" if payload is not None else "run_cache.miss"
             )
+        if payload is not None and explain:
+            payload["provenance"] = self.cached_provenance(text, config)
         return payload
 
-    def record_run(self, text: str, config: AnalysisConfig, result) -> None:
+    def cached_provenance(self, text: str,
+                          config: AnalysisConfig) -> Optional[dict]:
+        """The ``--explain`` provenance payload recorded with a run: its
+        own ``prov`` entry under the run key, or None."""
+        if self.cache is None:
+            return None
+        return self.cache.get("prov", fingerprint.run_key(text, config))
+
+    def record_run(self, text: str, config: AnalysisConfig, result,
+                   provenance=None) -> None:
         """Record a *clean* run's render-ready outcome. Runs with
         demotions or diagnostics are never recorded: their output
         depends on more than (source, config) content.
 
-        Besides the constants report, the payload carries the renderings
-        every replayable CLI mode needs — the transformed source, the
-        ``--stats`` table, and the ``--dump-ir`` text — so a warm replay
-        can serve those flags without re-analyzing.
+        Besides the constants report, the ``run`` payload carries the
+        renderings every replayable CLI mode needs — the transformed
+        source, the ``--stats`` table, and the ``--dump-ir`` text — so a
+        warm replay can serve those flags without re-analyzing. The
+        ``--explain`` provenance, most of a run's bytes, goes to its own
+        ``prov`` entry under the same key. Pass ``provenance`` (a
+        :class:`~repro.obs.provenance.ConstantProvenance` of ``result``)
+        when the caller already built it; it must carry no ``used_by``
+        annotations, which only optimized (never recorded) runs add.
         """
         if self.cache is None:
             return
@@ -847,10 +867,26 @@ class Engine:
             ),
             "stats": self._render_stats(result),
             "ir": self._render_ir(result),
-            "provenance": self._render_provenance(result),
         }
-        self.cache.put("run", fingerprint.run_key(text, config), payload)
+        key = fingerprint.run_key(text, config)
+        provenance_payload = (
+            provenance.to_payload()
+            if provenance is not None
+            else self._render_provenance(result)
+        )
+        if provenance_payload is not None:
+            self.cache.put("prov", key, provenance_payload)
+        self.cache.put("run", key, payload)
         self._count("run_cache_stores")
+
+    def forget_run(self, text: str, config: AnalysisConfig) -> bool:
+        """Evict a recorded run (its ``run`` and ``prov`` entries) — the
+        daemon's ``invalidate`` op. True when a run entry existed."""
+        if self.cache is None:
+            return False
+        key = fingerprint.run_key(text, config)
+        self.cache.delete("prov", key)
+        return self.cache.delete("run", key)
 
     def cached_opt(self, text: str, config: AnalysisConfig,
                    passes) -> Optional[dict]:

@@ -38,7 +38,10 @@ from repro.ir.printer import format_procedure
 #: ``man`` namespace (incremental manifests) joined the layout.
 #: v3: entries are stored inside a ``{"sha256", "body"}`` integrity
 #: wrapper, verified (and quarantined on mismatch) at read time.
-ENGINE_CACHE_VERSION = 3
+#: v4: an entry is exactly ``{"sha256":"<hex>","body":<canonical body>}``
+#: and reads hash the stored body bytes; ``run`` payloads no longer
+#: carry provenance, which moved to a ``prov`` entry under the run key.
+ENGINE_CACHE_VERSION = 4
 
 
 def _sha(parts: List[str]) -> str:

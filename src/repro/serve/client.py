@@ -36,7 +36,11 @@ class ReproClient:
         self.socket_path = socket_path
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._sock.settimeout(timeout)
-        self._sock.connect(socket_path)
+        try:
+            self._sock.connect(socket_path)
+        except OSError:
+            self._sock.close()
+            raise
         self._stream = self._sock.makefile("rb")
         self._next_id = 0
 

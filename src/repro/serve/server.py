@@ -51,7 +51,6 @@ from typing import Dict, List, Optional
 
 from repro import faults
 from repro.config import AnalysisConfig
-from repro.engine import fingerprint
 from repro.engine.core import Engine
 from repro.obs import context as obs_context
 from repro.obs import log as obs_log
@@ -718,11 +717,7 @@ class ReproServer:
             result_payload["metrics"] = {}
             return result_payload, degraded
 
-        payload = (
-            self.engine.cached_run(text, config)
-            if self.engine.cache is not None
-            else None
-        )
+        payload = self.engine.cached_run(text, config, explain is not None)
         if payload is not None and self._payload_serves(payload, explain):
             obs_metrics.inc("serve_replayed")
             result_payload.update(
@@ -768,9 +763,12 @@ class ReproServer:
                 )
                 if len(diagnostics):
                     result_payload["diagnostics"] = diagnostics.format()
+                provenance = None
                 if explain is not None:
-                    self._render_explain_live(result, explain, result_payload)
-                self.engine.record_run(text, config, result)
+                    provenance = self._render_explain_live(
+                        result, explain, result_payload
+                    )
+                self.engine.record_run(text, config, result, provenance)
                 report = self.engine.finish_incremental(path)
                 if report is not None:
                     result_payload["invalidation"] = report.to_dict()
@@ -831,10 +829,8 @@ class ReproServer:
         bundle = project_bundle_text(named, entry_name)
         label = project_label(project, entry_name)
 
-        payload = (
-            self.engine.cached_run(bundle, self.config.analysis)
-            if self.engine.cache is not None
-            else None
+        payload = self.engine.cached_run(
+            bundle, self.config.analysis, explain is not None
         )
         if payload is not None and self._payload_serves(payload, explain):
             obs_metrics.inc("serve_replayed")
@@ -879,9 +875,14 @@ class ReproServer:
                 )
                 if len(link.diagnostics):
                     result_payload["diagnostics"] = link.diagnostics.format()
+                provenance = None
                 if explain is not None:
-                    self._render_explain_live(result, explain, result_payload)
-                self.engine.record_run(bundle, self.config.analysis, result)
+                    provenance = self._render_explain_live(
+                        result, explain, result_payload
+                    )
+                self.engine.record_run(
+                    bundle, self.config.analysis, result, provenance
+                )
                 report = self.engine.finish_incremental(label)
                 if report is not None:
                     result_payload["invalidation"] = report.to_dict()
@@ -925,21 +926,26 @@ class ReproServer:
             result_payload["explain_error"] = str(err)
 
     @staticmethod
-    def _render_explain_live(result, cell: str, result_payload: dict) -> None:
+    def _render_explain_live(result, cell: str, result_payload: dict):
+        """Explain ``cell`` from a live run; returns the provenance it
+        built so the run is recorded without building it again."""
         from repro.obs.provenance import build_provenance
 
+        provenance = build_provenance(result)
         try:
-            result_payload["explain"] = build_provenance(result).explain(cell)
+            result_payload["explain"] = provenance.explain(cell)
         except ValueError as err:
             result_payload["explain_error"] = str(err)
+        return provenance
 
     # -- op: invalidate ------------------------------------------------------
 
     def _op_invalidate(self, path: str) -> dict:
-        """Evict the whole-run replay entry for ``path``'s *current*
-        content, forcing the next ``analyze`` through the engine (where
-        the summary cache + manifest diff recompute exactly the dirty
-        set — for an unchanged file, nothing)."""
+        """Evict the whole-run replay entry (and its provenance) for
+        ``path``'s *current* content, forcing the next ``analyze``
+        through the engine (where the summary cache + manifest diff
+        recompute exactly the dirty set — for an unchanged file,
+        nothing)."""
         obs_metrics.inc("serve_invalidations")
         result: Dict[str, object] = {"path": path, "invalidated": False}
         if self.engine.cache is None:
@@ -951,8 +957,9 @@ class ReproServer:
         except (OSError, UnicodeDecodeError) as err:
             result["error"] = str(err)
             return result
-        key = fingerprint.run_key(text, self.config.analysis)
-        result["invalidated"] = self.engine.cache.delete("run", key)
+        result["invalidated"] = self.engine.forget_run(
+            text, self.config.analysis
+        )
         return result
 
     def _op_invalidate_project(
@@ -980,10 +987,9 @@ class ReproServer:
             except (OSError, UnicodeDecodeError) as err:
                 result["error"] = str(err)
                 return result
-        key = fingerprint.run_key(
+        result["invalidated"] = self.engine.forget_run(
             project_bundle_text(named, entry_name), self.config.analysis
         )
-        result["invalidated"] = self.engine.cache.delete("run", key)
         return result
 
     # -- op: obs (live SLO telemetry) ----------------------------------------

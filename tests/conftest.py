@@ -34,6 +34,23 @@ def _fresh_memos():
     clear_memos()
 
 
+@pytest.fixture
+def provenance_builds(monkeypatch):
+    """Count ``build_provenance`` calls: the list of results it built
+    provenance for, appended as the code under test calls it."""
+    from repro.obs import provenance
+
+    built = []
+    real_build = provenance.build_provenance
+
+    def counting_build(result):
+        built.append(result)
+        return real_build(result)
+
+    monkeypatch.setattr(provenance, "build_provenance", counting_build)
+    return built
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--update-goldens",

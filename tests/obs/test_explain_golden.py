@@ -145,6 +145,20 @@ class TestColdWarmByteIdentity:
             warm = capsys.readouterr().out
             assert warm == cold, query
 
+    def test_live_explain_builds_provenance_once(
+        self, tri_file, tmp_path, capsys, provenance_builds
+    ):
+        """The cold run renders --explain and records the run from the
+        same provenance object; the warm run builds none."""
+        argv = ["analyze", tri_file, "--cache-dir", str(tmp_path / "cache"),
+                "--explain", "g1@bar"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert len(provenance_builds) == 1
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert len(provenance_builds) == 1
+
     def test_stale_payload_without_provenance_falls_through(
         self, tri_file, tmp_path, capsys
     ):

@@ -147,9 +147,9 @@ class TestCachedRunCarriesProvenance:
             config = AnalysisConfig()
             result = analyze_source(TRI_PROGRAM, config, engine=engine)
             engine.record_run(TRI_PROGRAM, config, result)
-            payload = engine.cached_run(TRI_PROGRAM, config)
+            payload = engine.cached_provenance(TRI_PROGRAM, config)
             assert payload is not None
-            replayed = ConstantProvenance.from_payload(payload["provenance"])
+            replayed = ConstantProvenance.from_payload(payload)
             live = build_provenance(result)
             for key in live.available():
                 assert replayed.explain(key) == live.explain(key)

@@ -8,8 +8,12 @@ from __future__ import annotations
 import glob
 import json
 import os
+from pathlib import Path
+
+import pytest
 
 from repro import faults
+from repro.cli import main
 from repro.config import AnalysisConfig
 from repro.engine import Engine
 from repro.engine.cache import SummaryCache, payload_digest
@@ -92,6 +96,69 @@ class TestSummaryCacheUnit:
             {"b": 2, "a": 1}
         )
 
+    def test_stored_layout_is_digest_then_canonical_body(self, tmp_path):
+        cache = SummaryCache(root=str(tmp_path))
+        payload = {"b": [1, 2], "a": {"y": 1, "x": None}}
+        cache.put("run", "f" * 16, payload)
+        [path] = glob.glob(
+            os.path.join(str(tmp_path), "**", "*.json"), recursive=True
+        )
+        body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        assert Path(path).read_text() == (
+            f'{{"sha256":"{payload_digest(payload)}","body":{body}}}'
+        )
+
+    def test_get_does_not_reencode(self, tmp_path, monkeypatch):
+        cache = SummaryCache(root=str(tmp_path))
+        payload = {"b": [1, 2], "a": {"y": 1, "x": None}}
+        cache.put("run", "f" * 16, payload)
+        calls = []
+        real_dumps = json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(args)
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        assert cache.get("run", "f" * 16) == payload
+        assert calls == []
+
+    def test_flipped_body_digit_quarantines(self, tmp_path):
+        """Rot that leaves the body valid JSON is caught by the digest
+        over the stored body bytes."""
+        cache = SummaryCache(root=str(tmp_path))
+        cache.put("ret", "9" * 16, {"x": 1234})
+        [path] = glob.glob(
+            os.path.join(str(tmp_path), "**", "*.json"), recursive=True
+        )
+        data = Path(path).read_bytes()
+        assert data.count(b"1234") == 1
+        Path(path).write_bytes(data.replace(b"1234", b"1235"))
+        assert cache.get("ret", "9" * 16) is None
+        assert cache.stats.quarantined == 1
+        assert os.path.exists(path + ".corrupt")
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda wrapper: json.dumps(wrapper),
+        lambda wrapper: json.dumps(
+            {"body": wrapper["body"], "sha256": wrapper["sha256"]},
+            separators=(",", ":"),
+        ),
+    ], ids=["spacing", "key-order"])
+    def test_rewritten_wrapper_quarantines(self, tmp_path, rewrite):
+        """Only put()'s exact byte layout is served: the same wrapper
+        re-serialized any other way is not what was hashed."""
+        cache = SummaryCache(root=str(tmp_path))
+        cache.put("ret", "8" * 16, {"x": 1, "y": [2, 3]})
+        [path] = glob.glob(
+            os.path.join(str(tmp_path), "**", "*.json"), recursive=True
+        )
+        wrapper = json.loads(Path(path).read_text())
+        assert wrapper["sha256"] == payload_digest(wrapper["body"])
+        Path(path).write_text(rewrite(wrapper))
+        assert cache.get("ret", "8" * 16) is None
+        assert cache.stats.quarantined == 1
+
 
 class TestEngineUnderCacheFaults:
     def test_torn_entries_recompute_identically(self, tmp_path):
@@ -127,3 +194,43 @@ class TestEngineUnderCacheFaults:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
             assert engine.cache.stats.store_failures > 0
             assert engine.cache.stats.stores == 0
+
+
+class TestProvenanceEntryFaults:
+    @pytest.mark.parametrize(
+        "spec",
+        ["corrupt-cache:namespace=prov", "truncate-cache:namespace=prov"],
+    )
+    def test_bad_prov_entry_falls_through_to_live_explain(
+        self, tmp_path, capsys, spec
+    ):
+        """A poisoned ``prov`` entry cannot serve ``--explain``: the
+        warm run quarantines it, re-analyzes, prints the cold output
+        byte-for-byte, and records a good entry for the next replay."""
+        source = tmp_path / "tri.f"
+        source.write_text(TRI_PROGRAM)
+        cache = str(tmp_path / "cache")
+        argv = ["analyze", str(source), "--cache-dir", cache,
+                "--explain", "g1@bar"]
+        faults.install(spec, export_env=False)
+        assert main(argv) == 0
+        faults.clear()
+        cold = capsys.readouterr().out
+        assert "--- explain g1@bar ---" in cold
+
+        base = metrics.snapshot()
+        assert main(argv) == 0
+        delta = metrics.delta_since(base)["counters"]
+        assert capsys.readouterr().out == cold
+        assert delta.get("cache_quarantined") == 1
+        assert delta.get("run_cache_hits") == 1
+        assert delta.get("parses", 0) >= 1, "must re-analyze live"
+        [sidecar] = corrupt_sidecars(cache)
+        assert f"{os.sep}prov{os.sep}" in sidecar
+
+        base = metrics.snapshot()
+        assert main(argv) == 0
+        delta = metrics.delta_since(base)["counters"]
+        assert capsys.readouterr().out == cold
+        assert delta.get("parses", 0) == 0, "re-recorded entry replays"
+        assert not delta.get("cache_quarantined")

@@ -7,8 +7,10 @@ never silent."""
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
+import warnings
 
 import pytest
 
@@ -56,6 +58,20 @@ def serial_truth():
     )
 
 
+def record_reads(cache):
+    """Route ``cache.get`` through a recorder; returns the list of
+    namespaces read, in order."""
+    namespaces = []
+    real_get = cache.get
+
+    def get(namespace, key):
+        namespaces.append(namespace)
+        return real_get(namespace, key)
+
+    cache.get = get
+    return namespaces
+
+
 def content_of(response):
     result = response["result"]
     return (
@@ -86,6 +102,34 @@ class TestServeBaseline:
             server.request_stop()
             assert server.finish() == 0
         assert not os.path.exists(server.config.socket_path)
+
+    def test_plain_replay_reads_no_provenance(
+        self, workdir, provenance_builds
+    ):
+        """Provenance lives in its own ``prov`` entry: a plain replay
+        reads only the ``run`` entry, an explain replay reads both, and
+        a live explain builds the provenance it records only once."""
+        server = make_server(workdir)
+        program = str(workdir / "prog.f")
+        reads = record_reads(server.engine.cache)
+        try:
+            with ReproClient(server.config.socket_path) as client:
+                cold = client.explain(program, "g1@bar")["result"]
+                assert not cold["replayed"]
+                assert len(provenance_builds) == 1
+                reads.clear()
+                warm = client.analyze(program)["result"]
+                assert warm["replayed"] and "explain" not in warm
+                assert reads == ["run"]
+                reads.clear()
+                explained = client.explain(program, "g1@bar")["result"]
+                assert explained["replayed"]
+                assert reads == ["run", "prov"]
+                assert explained["explain"] == cold["explain"]
+                assert len(provenance_builds) == 1
+        finally:
+            server.request_stop()
+            server.finish()
 
     def test_invalidate_then_dirty_set_only_recompute(self, workdir):
         """The acceptance loop: ``invalidate`` evicts only the run-level
@@ -264,6 +308,27 @@ class TestServeFaults:
             server.request_stop()
             server.finish()
 
+    def test_corrupt_prov_entry_explains_live(self, workdir):
+        """A rotted ``prov`` entry cannot serve an explain replay: the
+        daemon quarantines it and answers from a live analysis."""
+        faults.install("corrupt-cache:namespace=prov", export_env=False)
+        server = make_server(workdir)
+        program = str(workdir / "prog.f")
+        try:
+            with ReproClient(server.config.socket_path) as client:
+                cold = client.explain(program, "g1@bar")["result"]
+                faults.clear()
+                warm = client.explain(program, "g1@bar")["result"]
+                assert not warm["replayed"]
+                assert warm["explain"] == cold["explain"]
+                assert warm["metrics"].get("cache_quarantined") == 1
+                again = client.explain(program, "g1@bar")["result"]
+                assert again["replayed"]
+                assert again["explain"] == cold["explain"]
+        finally:
+            server.request_stop()
+            server.finish()
+
     def test_killed_workers_degrade_but_answer_identically(self, workdir):
         """SIGKILLed pool workers twice over: the daemon's engine must
         demote to in-process serial, say so in ``degraded``, and still
@@ -360,6 +425,21 @@ class TestServeProtocolEdges:
         finally:
             second.request_stop()
             second.finish()
+
+    def test_refused_connect_leaks_no_socket(self, workdir):
+        import socket as socketlib
+
+        stale = str(workdir / "stale.sock")
+        leftover = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+        leftover.bind(stale)
+        leftover.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ConnectionRefusedError):
+                ReproClient(stale)
+            gc.collect()
+        leaks = [w for w in caught if w.category is ResourceWarning]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_shutdown_op_drains_and_exits_zero(self, workdir):
         server = make_server(workdir)
