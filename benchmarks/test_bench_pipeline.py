@@ -1,9 +1,10 @@
-"""Pipeline throughput: parallel fan-out and the persistent cache.
+"""Pipeline throughput: serial analysis and the persistent cache.
 
-Unlike the paper-table benches this module measures the *engine* (PR 3):
-serial vs SCC-parallel jump-function generation, and cold vs warm
-summary-cache runs. Results land in ``BENCH_PIPELINE.json`` at the repo
-root so CI can archive them and gate on the cache hit-rate.
+Unlike the paper-table benches this module measures the pipeline and
+the *engine*: serial throughput (solver cells per second, peak RSS),
+and cold vs warm summary-cache runs. Results land in
+``BENCH_PIPELINE.json`` at the repo root so CI can archive them and
+gate on the cache hit-rate.
 
 Tiers (``BENCH_PIPELINE_TIER``):
 
@@ -14,30 +15,20 @@ Tiers (``BENCH_PIPELINE_TIER``):
   :func:`generate_scaled_program` tier (``BENCH_LARGE_PROCS``, default
   10000, capped at 100000). Runs only :func:`test_large_scale`: a
   serial pass in a fresh subprocess (clean peak-RSS and wall-time
-  accounting) and a parallel arena pass, gating cells/second
-  throughput, peak RSS, result-digest identity, and — on hosts with
-  at least four CPUs — parallel scaling efficiency. The arena pass
-  additionally asserts zero pickle-channel payload entries: summaries
-  moved through the shared-memory arena, not the pool pipe.
+  accounting), gating cells/second throughput and peak RSS.
 
 ``BENCH_PIPELINE.json`` holds every tier side by side under a
 ``{"tiers": {<name>: <report>}}`` roof; a run replaces only its own
 tier's section, so regenerating ``small`` keeps the recorded ``large``
 numbers (and vice versa).
 
-The ≥1.5× parallel-speedup gate needs at least four CPUs: the growth
-container has one, where a process pool can only lose. Below that the
-gate is an explicit ``pytest.skip`` (never a silent pass), and every
-speedup/throughput row measured with more workers than CPUs carries
-``cpu_constrained: true`` so BENCH_PIPELINE.json readers don't mistake
-contention numbers for scaling regressions. Byte-identity of parallel
-vs serial output is asserted everywhere.
-
-The *batch* section measures what ``repro batch`` exists for: one
-interpreter start-up and import pass amortized over N files, instead of
-N separate ``repro analyze`` invocations. That win is CPU-count
-independent (it is fixed-cost amortization, not parallelism), so its
-≥1.5× gate asserts on every host — including this 1-CPU container.
+Per-procedure analysis is serial (``docs/PERFORMANCE.md`` says why);
+the only parallelism is across files in ``repro batch``. The *batch*
+section measures what ``repro batch`` exists for: one interpreter
+start-up and import pass amortized over N files, instead of N separate
+``repro analyze`` invocations. That win is CPU-count independent (it is
+fixed-cost amortization, not parallelism), so its ≥1.5× gate asserts on
+every host, including a 1-CPU one.
 The *incremental* section edits one procedure of a cached program and
 gates on the dirty-set guarantee: only the edited procedure and its
 transitive callers are recomputed.
@@ -74,16 +65,6 @@ SIZES = TIERS.get(TIER, TIERS["small"])
 
 #: How many files the batch bench feeds through one driver invocation.
 BATCH_FILES = {"tiny": 3, "small": 8, "full": 12}.get(TIER, 8)
-
-PARALLEL_JOBS = 4
-MANY_CPUS = (os.cpu_count() or 1) >= PARALLEL_JOBS
-
-
-def _cpu_constrained(jobs: int) -> bool:
-    """More workers than CPUs: any recorded 'speedup' measures
-    contention, not scaling. Rows carry ``cpu_constrained: true`` so
-    readers of BENCH_PIPELINE.json don't mistake them for regressions."""
-    return (os.cpu_count() or 1) < jobs
 
 #: Procedure count for the ``large`` tier (layered scaled generator).
 LARGE_PROCS = min(
@@ -141,8 +122,6 @@ def report():
     data = {
         "tier": TIER,
         "cpu_count": os.cpu_count(),
-        "jobs": PARALLEL_JOBS,
-        "parallel": [],
         "cache": [],
         "batch": [],
         "incremental": [],
@@ -166,61 +145,32 @@ def report():
 
 
 @pytest.mark.parametrize("procedures", SIZES)
-def test_parallel_speedup(procedures, report, capfd):
+def test_serial_throughput(procedures, report, capfd):
     text = source_for(procedures)
     config = AnalysisConfig()
 
     def serial_run():
         result = analyze_source(text, config)
-        return fingerprint(result), entry_cells(result)
+        return entry_cells(result)
 
-    serial_seconds, (serial, cells) = timed(serial_run)
-
-    def parallel_run():
-        with Engine(jobs=PARALLEL_JOBS, executor="process") as engine:
-            return fingerprint(analyze_source(text, config, engine=engine))
-
-    parallel_seconds, parallel = timed(parallel_run)
-
-    assert parallel == serial, "parallel output must be byte-identical"
-    speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
-    row = {
-        "procedures": procedures,
-        "serial_seconds": round(serial_seconds, 4),
-        "parallel_seconds": round(parallel_seconds, 4),
-        "speedup": round(speedup, 3),
-    }
+    serial_seconds, cells = timed(serial_run)
     throughput_row = {
         "procedures": procedures,
+        "serial_seconds": round(serial_seconds, 4),
         "cells": cells,
         "cells_per_second": round(
             cells / serial_seconds if serial_seconds else 0.0, 1
         ),
         "peak_rss_mb": round(peak_rss_mb(), 1),
     }
-    if _cpu_constrained(PARALLEL_JOBS):
-        row["cpu_constrained"] = True
-        throughput_row["cpu_constrained"] = True
-    report["parallel"].append(row)
     report["throughput"].append(throughput_row)
     emit_once(
         capfd,
-        f"pipeline-parallel-{procedures}",
-        f"pipeline {procedures} procs: serial {serial_seconds:.2f}s, "
-        f"jobs={PARALLEL_JOBS} {parallel_seconds:.2f}s "
-        f"(speedup {speedup:.2f}x, cpus={os.cpu_count()})",
+        f"pipeline-serial-{procedures}",
+        f"pipeline {procedures} procs: serial {serial_seconds:.2f}s "
+        f"({throughput_row['cells_per_second']:.0f} cells/s, "
+        f"cpus={os.cpu_count()})",
     )
-    if procedures >= 500:
-        if not MANY_CPUS:
-            pytest.skip(
-                f"parallel-scaling gate needs >= {PARALLEL_JOBS} CPUs "
-                f"(host has {os.cpu_count()}); row recorded as "
-                f"cpu_constrained"
-            )
-        assert speedup >= 1.5, (
-            f"expected >=1.5x at {procedures} procedures on a "
-            f"{os.cpu_count()}-cpu host, got {speedup:.2f}x"
-        )
 
 
 @pytest.mark.parametrize("procedures", SIZES)
@@ -311,8 +261,7 @@ def test_batch_vs_serial_invocations(report, tmp_path_factory, capfd):
     """One ``repro batch`` invocation vs N separate ``repro analyze``
     subprocesses over the same files. The batch driver pays interpreter
     start-up and imports once, so it must win by ≥1.5× on *any* CPU
-    count — this gate is the 1-CPU-host replacement for the pool
-    speedup gate above."""
+    count."""
     directory = tmp_path_factory.mktemp("batchfiles")
     paths = []
     for index in range(BATCH_FILES):
@@ -517,26 +466,21 @@ def test_observability_overhead(report, capfd):
 
 
 # One analysis pass in a fresh interpreter: wall time, solver cell
-# count, a result digest, the process's own peak RSS (clean — nothing
-# else ran in it), and the arena/pickle transport counters.
+# count, a result digest, and the process's own peak RSS (clean —
+# nothing else ran in it).
 _LARGE_RUNNER = """\
 import hashlib, json, resource, sys, time
 
-path, jobs = sys.argv[1], int(sys.argv[2])
+path = sys.argv[1]
 from repro.config import AnalysisConfig
 from repro.ipcp.driver import analyze_source
 from repro.ipcp.solver import entry_domain
-from repro.obs import metrics
 
-text = open(path).read()
+with open(path) as handle:
+    text = handle.read()
 config = AnalysisConfig()
 start = time.perf_counter()
-if jobs > 1:
-    from repro.engine import Engine
-    with Engine(jobs=jobs, executor="process") as engine:
-        result = analyze_source(text, config, engine=engine)
-else:
-    result = analyze_source(text, config)
+result = analyze_source(text, config)
 seconds = time.perf_counter() - start
 
 program = result.program
@@ -551,9 +495,6 @@ print(json.dumps({
     "digest": digest.hexdigest(),
     "peak_rss_mb": round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
-    "pickle_entries": metrics.value("engine_pickle_payload_entries"),
-    "stream_records": metrics.value("arena_stream_records"),
-    "arena_fallbacks": metrics.value("arena_fallbacks"),
 }))
 """
 
@@ -563,14 +504,11 @@ print(json.dumps({
 )
 def test_large_scale(report, tmp_path_factory, capfd):
     """The 10k-100k-procedure tier: one layered scaled-generator
-    program, analyzed serially and with the arena-backed pool, each in
-    a fresh subprocess so wall time and peak RSS are unpolluted.
+    program, analyzed serially in a fresh subprocess so wall time and
+    peak RSS are unpolluted.
 
-    Gates: result digests identical, the parallel run moved zero
-    summary payloads over the pickle channel (the arena carried them),
-    cells/second throughput, a peak-RSS ceiling that scales with the
-    procedure count, and — on >= 4-CPU hosts — >= 1.5x parallel
-    speedup at >= 37.5% per-worker efficiency.
+    Gates: cells/second throughput and a peak-RSS ceiling that scales
+    with the procedure count.
     """
     from repro.suite.generator import ScaleConfig, generate_scaled_program
 
@@ -584,34 +522,15 @@ def test_large_scale(report, tmp_path_factory, capfd):
     path.write_text(text)
     env = _cli_environment()
 
-    def run(jobs):
-        completed = subprocess.run(
-            [sys.executable, "-c", _LARGE_RUNNER, str(path), str(jobs)],
-            env=env,
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
-        assert completed.returncode == 0, completed.stderr
-        return json.loads(completed.stdout)
-
-    serial = run(1)
-    jobs = min(PARALLEL_JOBS, max(2, os.cpu_count() or 1))
-    parallel = run(jobs)
-
-    assert parallel["digest"] == serial["digest"], (
-        "arena-parallel result diverged from serial"
+    completed = subprocess.run(
+        [sys.executable, "-c", _LARGE_RUNNER, str(path)],
+        env=env,
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
     )
-    assert parallel["stream_records"] > 0, (
-        "parallel run never published to the arena stream"
-    )
-    assert parallel["arena_fallbacks"] == 0, (
-        "arena fell back to the pickle channel on a healthy host"
-    )
-    assert parallel["pickle_entries"] == 0, (
-        f"{parallel['pickle_entries']} summary payload entries crossed "
-        f"the pool's pickle channel — the arena should carry them all"
-    )
+    assert completed.returncode == 0, completed.stderr
+    serial = json.loads(completed.stdout)
 
     cells = serial["cells"]
     assert cells >= LARGE_PROCS, (
@@ -629,27 +548,13 @@ def test_large_scale(report, tmp_path_factory, capfd):
         f"{rss_budget_mb:.0f}MiB budget for {LARGE_PROCS} procedures"
     )
 
-    speedup = (
-        serial["seconds"] / parallel["seconds"]
-        if parallel["seconds"]
-        else 0.0
-    )
-    efficiency = speedup / jobs if jobs else 0.0
-
     row = {
         "procedures": LARGE_PROCS,
         "generate_seconds": round(generate_seconds, 3),
         "cells": cells,
         "serial_seconds": serial["seconds"],
-        "parallel_seconds": parallel["seconds"],
-        "parallel_jobs": jobs,
-        "speedup": round(speedup, 3),
-        "efficiency": round(efficiency, 3),
         "cells_per_second": round(cells_per_second, 1),
         "serial_peak_rss_mb": serial["peak_rss_mb"],
-        "parallel_peak_rss_mb": parallel["peak_rss_mb"],
-        "arena_stream_records": parallel["stream_records"],
-        "pickle_payload_entries": parallel["pickle_entries"],
         "digest": serial["digest"][:16],
     }
     throughput_row = {
@@ -658,9 +563,6 @@ def test_large_scale(report, tmp_path_factory, capfd):
         "cells_per_second": round(cells_per_second, 1),
         "peak_rss_mb": serial["peak_rss_mb"],
     }
-    if _cpu_constrained(jobs):
-        row["cpu_constrained"] = True
-        throughput_row["cpu_constrained"] = True
     report["large"].append(row)
     report["throughput"].append(throughput_row)
     emit_once(
@@ -668,26 +570,5 @@ def test_large_scale(report, tmp_path_factory, capfd):
         "pipeline-large",
         f"large {LARGE_PROCS} procs ({cells} cells): serial "
         f"{serial['seconds']:.1f}s ({cells_per_second:.0f} cells/s, "
-        f"{serial['peak_rss_mb']:.0f}MiB), jobs={jobs} arena "
-        f"{parallel['seconds']:.1f}s (speedup {speedup:.2f}x, "
-        f"{parallel['stream_records']} stream records, "
-        f"{parallel['pickle_entries']} pickle entries, "
-        f"cpus={os.cpu_count()})",
-    )
-    # The scaling gate runs after the rows are recorded: on a CPU-
-    # constrained host the numbers are still published (annotated),
-    # but the gate is an explicit skip, not a silent pass.
-    if not MANY_CPUS:
-        pytest.skip(
-            f"parallel-scaling gate needs >= {PARALLEL_JOBS} CPUs "
-            f"(host has {os.cpu_count()}); rows recorded as "
-            f"cpu_constrained"
-        )
-    assert speedup >= 1.5, (
-        f"expected >=1.5x at {LARGE_PROCS} procedures on a "
-        f"{os.cpu_count()}-cpu host, got {speedup:.2f}x"
-    )
-    assert efficiency >= 0.375, (
-        f"scaling efficiency {efficiency:.2f} below 0.375 "
-        f"({speedup:.2f}x over {jobs} workers)"
+        f"{serial['peak_rss_mb']:.0f}MiB, cpus={os.cpu_count()})",
     )

@@ -291,21 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the structural IR/SSA verifier between pipeline stages",
     )
     _add_optimize_arguments(analyze)
-    analyze.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="generate procedure summaries on N parallel workers "
-        "(default: 1 = serial; results are byte-identical)",
-    )
-    analyze.add_argument(
-        "--no-arena",
-        action="store_true",
-        help="with --jobs N: exchange summaries over the worker pool's "
-        "pickle channel instead of the shared-memory arena (results "
-        "are byte-identical either way)",
-    )
     _add_cache_arguments(analyze)
 
     link = sub.add_parser(
@@ -322,17 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the files define more than one)",
     )
     _add_config_arguments(link)
-    link.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="generate procedure summaries on N parallel workers "
-        "(default: 1 = serial; results are byte-identical)",
-    )
-    link.add_argument(
-        "--no-arena", action="store_true",
-        help="with --jobs N: exchange summaries over the worker pool's "
-        "pickle channel instead of the shared-memory arena (results "
-        "are byte-identical either way)",
-    )
     _add_cache_arguments(link)
     link.add_argument(
         "--symbols", action="store_true",
@@ -424,21 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the structural IR verifier after every optimization "
         "pass (disables the warm-cache replay path)",
     )
-    optimize.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="generate procedure summaries on N parallel workers "
-        "(default: 1 = serial; results are byte-identical)",
-    )
-    optimize.add_argument(
-        "--no-arena",
-        action="store_true",
-        help="with --jobs N: exchange summaries over the worker pool's "
-        "pickle channel instead of the shared-memory arena (results "
-        "are byte-identical either way)",
-    )
     _add_cache_arguments(optimize)
 
     serve = sub.add_parser(
@@ -450,17 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="unix socket path to listen on",
     )
     _add_config_arguments(serve)
-    serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="engine worker pool size for each analysis "
-        "(default: 1 = serial; results are byte-identical)",
-    )
-    serve.add_argument(
-        "--no-arena", action="store_true",
-        help="with --jobs N: exchange summaries over the worker pool's "
-        "pickle channel instead of the shared-memory arena (results "
-        "are byte-identical either way)",
-    )
     serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent cache directory (default: the standard cache "
@@ -516,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--inject-fault", action="append", default=[], metavar="SPEC",
         help="arm a deterministic fault (repeatable), e.g. "
-        "'kill-worker:stage=ret,nth=1' or 'delay-request:ms=200'; "
+        "'corrupt-cache:namespace=run' or 'delay-request:ms=200'; "
         "see repro.faults for the registry",
     )
 
@@ -749,7 +697,7 @@ def _engine_from_args(args: argparse.Namespace):
         or args.cache_dir is not None
         or getattr(args, "explain_invalidation", False)
     )
-    if args.jobs <= 1 and not wants_cache and args.profile is None:
+    if not wants_cache and args.profile is None:
         return None
     from repro.engine import Engine, default_cache_root
     from repro.profiling import PipelineProfile
@@ -758,10 +706,7 @@ def _engine_from_args(args: argparse.Namespace):
     if wants_cache:
         cache_dir = args.cache_dir or default_cache_root()
     profile = PipelineProfile() if args.profile is not None else None
-    arena = False if getattr(args, "no_arena", False) else None
-    return Engine(
-        jobs=args.jobs, cache_dir=cache_dir, profile=profile, arena=arena
-    )
+    return Engine(cache_dir=cache_dir, profile=profile)
 
 
 def _render_substitution_counts(per_procedure) -> None:
@@ -858,7 +803,8 @@ def _start_obs(args: argparse.Namespace, command: str):
 
 def _flow_root(context, **attrs) -> None:
     """Emit the invocation's flow-root event (inside the root span):
-    pool workers stitch to it with "t" steps sharing the same id."""
+    the "s" start that maps the flow id to the request id for
+    ``repro obs report`` and the stitching check."""
     if context is None:
         return
     from repro.obs import context as obs_context
@@ -1453,9 +1399,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         socket_path=args.socket,
         analysis=_config_from_args(args),
-        jobs=args.jobs,
         cache_dir=cache_dir,
-        arena=False if args.no_arena else None,
         queue_limit=args.queue_limit,
         default_deadline_s=args.deadline if args.deadline > 0 else None,
         drain_timeout_s=args.drain_timeout,
@@ -1639,8 +1583,8 @@ def _render_client_response(op: str, response: dict) -> int:
             return EXIT_DIAGNOSTICS
         return EXIT_OK
     if op == "status":
-        for key in ("socket", "jobs", "queue_depth", "queue_limit",
-                    "pool_demoted", "stopping", "cache_dir"):
+        for key in ("socket", "queue_depth", "queue_limit", "stopping",
+                    "cache_dir"):
             print(f"{key}: {result.get(key)}")
         for line in result.get("faults", []):
             print(f"fault: {line}")

@@ -1,12 +1,13 @@
-"""The analysis engine: SCC-scheduled parallel summary generation, a
-persistent content-addressed summary cache, and per-run profiling.
+"""The analysis engine: a persistent content-addressed summary cache,
+incremental re-analysis, per-run profiling, and the batch driver.
 
 :class:`~repro.engine.core.Engine` is the only object callers touch; it
 plugs into :func:`repro.ipcp.driver.analyze_prepared` (and the
-``analyze_*`` entry points above it) and replaces the serial
-return-function / forward-function / substitution stages with
-scheduled, cached, optionally parallel equivalents whose outputs are
-byte-identical to the serial pipeline's. See ``docs/PERFORMANCE.md``.
+``analyze_*`` entry points above it) and runs the return-function /
+forward-function / substitution stages against the cache, with outputs
+byte-identical to the plain driver's. Parallelism lives one level up,
+across files in :func:`~repro.engine.batch.run_batch`. See
+``docs/PERFORMANCE.md``.
 """
 
 from repro.engine.batch import BatchResult, FileOutcome, run_batch
@@ -21,7 +22,6 @@ from repro.engine.fingerprint import (
     summary_keys,
 )
 from repro.engine.incremental import InvalidationReport, diff_manifest
-from repro.engine.scheduler import condensation_levels
 
 __all__ = [
     "BatchResult",
@@ -31,7 +31,6 @@ __all__ = [
     "FileOutcome",
     "InvalidationReport",
     "SummaryCache",
-    "condensation_levels",
     "config_fingerprint",
     "default_cache_root",
     "diff_manifest",

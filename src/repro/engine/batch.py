@@ -1,12 +1,12 @@
 """Batch analysis: many programs, one persistent worker pool.
 
-A single ``repro`` invocation pays interpreter start-up, imports, and
-(under ``--jobs``) pool spin-up once *per file*. :func:`run_batch`
-amortizes all of that: the batch driver prepares every input against
-one long-lived pool of workers, each of which analyzes whole files
-serially (file-level parallelism composes better than per-file SCC
-parallelism when there are many small inputs) and shares the persistent
-summary cache on disk.
+A single ``repro`` invocation pays interpreter start-up and imports
+once *per file*. :func:`run_batch` amortizes that: the batch driver
+runs every input against one long-lived pool of workers (``--jobs``),
+each of which analyzes whole files serially and shares the persistent
+summary cache on disk. Files are the only unit of parallelism in the
+repository: the per-procedure stages inside one file stay serial (see
+``docs/PERFORMANCE.md``).
 
 Scheduling is **big-first**: files are submitted in decreasing size
 order so small files fill the slots left idle while a worker chews on a
@@ -180,7 +180,7 @@ def analyze_one(
     """The per-file unit of batch work: replay-or-analyze ``path``.
 
     Runs inline (``jobs=1``) or inside a pool worker; everything it
-    touches and returns is picklable. Each call uses a private serial
+    touches and returns is picklable. Each call uses a private
     :class:`~repro.engine.core.Engine` over the shared on-disk cache —
     workers coordinate through the cache's atomic file writes, never
     through shared memory.
@@ -229,7 +229,7 @@ def analyze_one(
             trace.enable()
             owns_tracer = True
     began = time.perf_counter()
-    engine = Engine(jobs=1, cache_dir=cache_dir, profile=profile)
+    engine = Engine(cache_dir=cache_dir, profile=profile)
     outcome = FileOutcome(path=path)
     # Each file is its own correlation unit: telemetry recorded while
     # analyzing it (log records, worker spans) carries a per-file
@@ -383,11 +383,11 @@ def run_batch(
     """Analyze every file in ``paths`` against one persistent pool.
 
     ``jobs=1`` runs everything inline (still amortizing imports and the
-    cache handle). ``executor`` mirrors :class:`~repro.engine.core.
-    Engine`: ``"process"`` for real parallelism, ``"thread"`` for
-    GIL-bound determinism testing. ``want_metrics`` attaches a per-file
-    metrics delta to each outcome; ``want_trace`` records trace events
-    in the workers and folds them into the caller's live tracer.
+    cache handle). ``executor`` is ``"process"`` for real parallelism,
+    or ``"thread"`` for GIL-bound determinism testing. ``want_metrics``
+    attaches a per-file metrics delta to each outcome; ``want_trace``
+    records trace events in the workers and folds them into the
+    caller's live tracer.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -413,13 +413,12 @@ def run_batch(
                  want_metrics, want_trace, optimize)
 
     if executor == "thread":
-        # Files genuinely overlap here: each thread's engine installs
-        # its worker state thread-locally (parallel._get_state) and its
-        # metrics land in a thread-scoped registry, so concurrent
-        # engines never clobber each other. Still GIL-bound — real
-        # speedups come from I/O overlap and the process executor — but
-        # no longer serialized behind a lock. (Threads cannot break the
-        # executor, so no recovery loop here.)
+        # Files genuinely overlap here: each thread has its own engine
+        # and its metrics land in a thread-scoped registry, so
+        # concurrent engines never clobber each other. Still GIL-bound
+        # — real speedups come from I/O overlap and the process
+        # executor — but no longer serialized behind a lock. (Threads
+        # cannot break the executor, so no recovery loop here.)
         pool = cf.ThreadPoolExecutor(max_workers=jobs)
         try:
             futures = {
@@ -451,8 +450,6 @@ def run_batch(
     remaining = _schedule(list(dict.fromkeys(paths)))
     rebuilt = False
     while remaining:
-        from repro.engine.parallel import _worker_init
-
         pool = cf.ProcessPoolExecutor(
             max_workers=jobs, mp_context=context, initializer=_worker_init
         )
@@ -501,6 +498,26 @@ def run_batch(
     return _collect(
         [outcomes[path] for path in paths], jobs, notes=notes
     )
+
+
+def _worker_init() -> None:
+    """Pool-worker initializer: restore default signal dispositions.
+
+    Fork workers inherit whatever SIGINT/SIGTERM handlers the host
+    installed — the batch CLI's raise-to-drain handler — and it is wrong
+    inside a worker: it turns the executor's own shutdown SIGTERM into a
+    traceback. Workers die by default disposition; only the host
+    drains."""
+    import signal
+
+    for name in ("SIGINT", "SIGTERM"):
+        signum = getattr(signal, name, None)
+        if signum is None:
+            continue
+        try:
+            signal.signal(signum, signal.SIG_DFL)
+        except (ValueError, OSError):
+            pass
 
 
 def _rebuild_backoff() -> None:

@@ -2,8 +2,8 @@
 
 Layout: ``<root>/v<ENGINE_CACHE_VERSION>/<namespace>/<k[:2]>/<k>.json``
 — one JSON file per entry, written atomically (temp file + rename), so
-concurrent readers/writers (parallel workers, simultaneous CLI runs)
-can never observe a torn entry. A version bump simply orphans the old
+concurrent readers/writers (batch workers, simultaneous CLI runs) can
+never observe a torn entry. A version bump simply orphans the old
 ``v<N>`` directory.
 
 Entries are **checksummed**: a stored entry is exactly the bytes
@@ -36,13 +36,11 @@ source digest + config fingerprint — the ``repro analyze`` fast path),
 same key as its ``run`` entry), ``opt`` (whole optimization outcomes),
 ``man`` (incremental manifests).
 
-This is the *cross-run* summary tier. Within one run, workers exchange
-the same Merkle-keyed summaries through the shared-memory arena
-(:mod:`repro.engine.arena`) instead — RAM-speed, zero pickling — and
-only the parent persists them here. Handles may be shared across the
-batch driver's (no longer serialized) threads, so the stats counters
-are lock-protected; the entry files themselves were always safe under
-concurrency via atomic rename.
+This is the *cross-run* summary tier; within one run the engine keeps
+summaries as live objects and touches this cache only to read or store
+them. Handles may be shared across the batch driver's threads, so the
+stats counters are lock-protected; the entry files themselves are safe
+under concurrency via atomic rename.
 
 Fault-injection points (:mod:`repro.faults`): ``fail-write`` makes a
 store raise mid-write (degrades to a smaller cache), ``truncate-cache``

@@ -12,28 +12,22 @@ drill) arms specific faults at specific occurrences.
 A **fault spec** is ``point:key=value,key=value,...``. The point names
 what breaks; the parameters say where and when:
 
-- ``kill-worker`` — SIGKILL the current *pool worker* process (never
-  the host process) at an engine task (``level=N``, ``stage=ret|fwd|
-  sub``) or a batch file task (``stage=batch``);
+- ``kill-worker`` — SIGKILL the current *batch pool worker* process
+  (never the host process) as it starts a file (``stage=batch``,
+  ``path=P``);
 - ``truncate-cache`` / ``corrupt-cache`` — tear or bit-rot a cache
   entry as it is written (detected later by the checksum layer);
 - ``fail-write`` — the cache write raises ``OSError`` (full disk);
 - ``delay-request`` — sleep ``ms=M`` inside the daemon's request
   lifecycle (``op=analyze`` etc.) — how deadline expiry is tested;
 - ``delay-file`` — sleep ``ms=M`` per batch/serve file analysis — how
-  drain-under-load and signal handling are tested;
-- ``corrupt-arena`` — bit-rot a shared-memory arena record as it is
-  appended (``namespace=ret|fwd|sub``); the reader's crc check must
-  quarantine the arena and fall back to the pickle path;
-- ``unlink-arena`` — remove the arena segment at attach time, the
-  "operator deleted /dev/shm files" drill; attaches fail cleanly and
-  the run falls back to the pickle path, never to a failed analysis.
+  drain-under-load and signal handling are tested.
 
 Triggering is deterministic:
 
-- **match parameters** (``level``, ``stage``, ``op``, ``path``,
-  ``namespace``) restrict the spec to call sites whose context carries
-  equal values; a context that lacks the key never matches;
+- **match parameters** (``stage``, ``op``, ``path``, ``namespace``)
+  restrict the spec to call sites whose context carries equal values;
+  a context that lacks the key never matches;
 - ``nth=K`` fires on exactly the Kth match (per process — each pool
   worker counts its own matches);
 - ``flag=PATH`` fires only while the file at PATH exists and consumes
@@ -60,7 +54,7 @@ from typing import Dict, List, Optional
 ENV_VAR = "REPRO_FAULTS"
 
 #: Spec parameters that must equal the call-site context to match.
-MATCH_KEYS = ("level", "stage", "op", "path", "namespace")
+MATCH_KEYS = ("stage", "op", "path", "namespace")
 
 #: Known injection points (parse-time typo guard).
 POINTS = (
@@ -70,8 +64,6 @@ POINTS = (
     "fail-write",
     "delay-request",
     "delay-file",
-    "corrupt-arena",
-    "unlink-arena",
 )
 
 
@@ -278,8 +270,7 @@ def maybe_kill_worker(**context) -> None:
     """``kill-worker`` point: SIGKILL the current process — but only
     when it is a *pool worker* (its pid differs from the host process
     that armed the plan). The host process never self-destructs, so an
-    inline/thread-executor run ignores the fault instead of taking the
-    daemon down."""
+    inline/thread-executor batch ignores the fault instead of dying."""
     if _PLAN is None:
         return
     spec = _PLAN.fire("kill-worker", **context)

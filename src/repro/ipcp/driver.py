@@ -118,8 +118,8 @@ def analyze_prepared(
 
     With an ``engine`` (:class:`repro.engine.Engine`), the three
     per-procedure stages — return functions, forward functions,
-    substitution — run through its scheduled/cached/parallel
-    equivalents; the results are byte-identical to the serial builders.
+    substitution — run through its cached equivalents; the results are
+    byte-identical to the plain builders.
     """
     resilience = resilience if resilience is not None else ResilienceReport()
     budget = config.budget
@@ -169,17 +169,17 @@ def analyze_prepared(
         constants = empty_constants(program)
 
     with _stage(engine, "substitution"):
-        if engine is not None:
-            substitution = engine.substitution(
-                program, callgraph, constants, config, resilience
+        if config.use_return_functions:
+            call_model: SCCPCallModel = ReturnFunctionCallModel(
+                program, return_map
             )
         else:
-            if config.use_return_functions:
-                call_model: SCCPCallModel = ReturnFunctionCallModel(
-                    program, return_map
-                )
-            else:
-                call_model = SCCPCallModel()
+            call_model = SCCPCallModel()
+        if engine is not None:
+            substitution = engine.substitution(
+                program, callgraph, constants, call_model, config, resilience
+            )
+        else:
             substitution = measure_substitution(
                 program, constants, call_model,
                 budget=budget, resilience=resilience,
@@ -272,10 +272,10 @@ def analyze_program(
     complete propagation — transformed); re-lower from source to analyze
     the same program under another configuration.
 
-    ``engine`` accelerates the per-procedure stages (see
+    ``engine`` caches the per-procedure stages (see
     :func:`analyze_prepared`). Complete propagation re-runs the pipeline
     on programs it mutates between rounds, which would defeat every
-    content-keyed cache — it always runs serial.
+    content-keyed cache — it always runs without the engine.
     """
     config = config or AnalysisConfig()
     resilience = resilience if resilience is not None else ResilienceReport()

@@ -77,19 +77,24 @@ class ReturnFunctionMap:
 
     def __init__(self):
         self._functions: Dict[Tuple[str, Variable], ReturnJumpFunction] = {}
+        #: The same functions indexed by procedure, then target, so
+        #: :meth:`functions_of` costs the procedure's own functions,
+        #: not the whole map.
+        self._by_procedure: Dict[str, Dict[Variable, ReturnJumpFunction]] = {}
 
     def add(self, function: ReturnJumpFunction) -> None:
         self._functions[(function.procedure_name, function.target)] = function
+        self._by_procedure.setdefault(function.procedure_name, {})[
+            function.target
+        ] = function
 
     def lookup(self, procedure_name: str, target: Variable) -> Optional[ReturnJumpFunction]:
         return self._functions.get((procedure_name, target))
 
     def functions_of(self, procedure_name: str) -> List[ReturnJumpFunction]:
-        return [
-            f
-            for (name, _var), f in self._functions.items()
-            if name == procedure_name
-        ]
+        """The procedure's functions in the order their targets were
+        first added (an overwrite keeps its target's position)."""
+        return list(self._by_procedure.get(procedure_name, {}).values())
 
     def __len__(self) -> int:
         return len(self._functions)
@@ -312,9 +317,9 @@ def build_return_functions_for(
 ) -> None:
     """Build return jump functions for ``procedures`` (in the given
     order) into ``return_map``, which must already hold the functions of
-    every callee outside the given set. The engine's SCC scheduler calls
-    this per component; :func:`build_return_functions` calls it once
-    over the whole bottom-up order."""
+    every callee outside the given set. The engine calls this per
+    procedure; :func:`build_return_functions` calls it once over the
+    whole bottom-up order."""
     for procedure in procedures:
         if procedure.is_main:
             continue

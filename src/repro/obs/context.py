@@ -7,20 +7,18 @@ invocation (``cli-analyze``), or a batch file. The structured log
 flow events (:mod:`repro.obs.trace`) use :func:`flow_id` to stitch a
 request's worker spans back to its root span.
 
-Storage mirrors the engine's worker-state layering
-(:mod:`repro.engine.parallel`): a module global under a
-``threading.local`` override. The module global is what fork-context
-pool workers inherit copy-on-write and what an engine's own worker
-threads fall through to; the thread-local is what keeps concurrent
-batch threads (and the daemon's connection-handler threads) from
-reading a sibling's context. ``threading.local`` survives fork for the
-forking thread itself, so a dispatcher that calls
-:func:`set_context` covers both layers for its children.
+Storage is layered: a module global under a ``threading.local``
+override. The module global is what fork-context batch pool workers
+inherit copy-on-write and what fresh threads fall through to; the
+thread-local is what keeps concurrent batch threads (and the daemon's
+connection-handler threads) from reading a sibling's context.
+``threading.local`` survives fork for the forking thread itself, so a
+dispatcher that calls :func:`set_context` covers both layers for its
+children.
 
-Crossing a *spawn* (or any pickled) process boundary needs the ids
-shipped explicitly — :meth:`RequestContext.ids` / :func:`from_ids` are
-the wire format, and ``repro.engine.parallel._ctx_call`` is the
-carrier.
+Nothing is inherited across a *spawn* (or any pickled) process
+boundary; :meth:`RequestContext.ids` / :func:`from_ids` are the wire
+form for shipping the ids explicitly.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ def current() -> Optional[RequestContext]:
 
 def current_ids() -> Optional[Tuple[str, str]]:
     """``(request_id, trace_id)`` of the current context, or None —
-    what a pool submission ships across the process boundary."""
+    the wire form for a process boundary."""
     context = current()
     return context.ids() if context is not None else None
 

@@ -14,15 +14,14 @@ The package splits along the request path:
 - :mod:`repro.serve.lifecycle` — per-request deadlines and cooperative
   cancellation;
 - :mod:`repro.serve.server` — the daemon itself: bounded request queue
-  with explicit overload shedding, worker-crash recovery, graceful
-  signal-driven drain, observability artifact flushing;
+  with explicit overload shedding, graceful signal-driven drain,
+  observability artifact flushing;
 - :mod:`repro.serve.client` — the client used by the CLI
   (``repro client``), the tests, and the chaos harness.
 
 Robustness is the design driver throughout: a long-lived daemon is
-exactly where worker crashes, torn caches, slow requests, and
-signal-driven shutdown stop being one-off failures and become
-steady-state events. Every degradation path here is exercised by the
+exactly where torn caches, slow requests, and signal-driven shutdown
+stop being one-off failures and become steady-state events. Every degradation path here is exercised by the
 fault-injection matrix (:mod:`repro.faults`, ``tests/robustness``)
 rather than trusted.
 """

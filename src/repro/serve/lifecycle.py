@@ -4,7 +4,7 @@ Analysis work is CPU-bound Python; it cannot be preempted, only asked
 to stop. A :class:`Deadline` is therefore *checked*, never enforced:
 the daemon calls :meth:`Deadline.check` at each lifecycle checkpoint
 (dequeue, post-injection-delay, pre-analysis) and installs it as the
-engine's between-waves ``checkpoint`` hook, so a request that runs past
+engine's between-SCCs ``checkpoint`` hook, so a request that runs past
 its budget unwinds at the next scheduling boundary — a bounded, small
 lag — rather than holding the dispatcher hostage. The analysis it
 abandons was all cache-backed idempotent work, so a retried request

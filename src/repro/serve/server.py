@@ -2,8 +2,8 @@
 
 One :class:`ReproServer` owns a unix listening socket, a bounded
 request queue, and a single dispatcher thread driving a persistent
-:class:`~repro.engine.core.Engine` (summary + run caches, optional
-worker pool). Connection handler threads do only cheap work — frame
+:class:`~repro.engine.core.Engine` (summary + run caches). Connection
+handler threads do only cheap work — frame
 parsing, admission control — so a slow analysis can never stop the
 daemon from *answering* (with a shed or shutdown error) even while it
 is busy.
@@ -17,16 +17,10 @@ The robustness core, mapped to code:
   latency stay bounded under any client load.
 - **deadlines with cooperative cancellation** — every ticket carries a
   :class:`~repro.serve.lifecycle.Deadline` (per-request override or
-  server default), checked at lifecycle checkpoints and between engine
-  scheduling waves (the engine's ``checkpoint`` hook). Expiry unwinds
+  server default), checked at lifecycle checkpoints and between the
+  engine's SCCs and procedures (its ``checkpoint`` hook). Expiry unwinds
   into a ``deadline_expired`` error; the abandoned work was idempotent
   cache-backed computation, so nothing is torn.
-- **worker-crash recovery** — a killed pool worker surfaces as
-  ``BrokenProcessPool`` inside the engine, which rebuilds the pool
-  once (jittered backoff) and then degrades to in-process serial
-  analysis; the response's ``degraded`` notes and the
-  ``engine_pool_*`` counters make the demotion visible. Results are
-  byte-identical either way.
 - **cache-integrity quarantine** — corrupt summary/run entries are
   detected by checksum at read time, quarantined as ``.corrupt``
   sidecars, and recomputed (``cache_quarantined`` counter).
@@ -72,9 +66,8 @@ STATUS_ERROR = "error"
 
 #: Counter-name prefixes surfaced by the ``status`` op.
 _STATUS_COUNTER_PREFIXES = (
-    "serve_", "engine_pool_", "batch_pool_", "cache_", "faults_",
-    "recomputed_", "run_cache_", "summary_cache_", "demotions_",
-    "arena_", "engine_pickle_",
+    "serve_", "batch_pool_", "cache_", "faults_", "recomputed_",
+    "run_cache_", "summary_cache_", "demotions_",
 )
 
 
@@ -84,7 +77,6 @@ class ServeConfig:
 
     socket_path: str
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-    jobs: int = 1
     cache_dir: Optional[str] = None
     queue_limit: int = 16
     default_deadline_s: Optional[float] = 30.0
@@ -101,9 +93,6 @@ class ServeConfig:
     #: Capacity of the per-request ring buffer behind ``repro top``
     #: and the ``obs`` protocol op.
     obs_window: int = 256
-    #: Shared-memory arena policy for the persistent engine: None
-    #: (auto: on whenever ``jobs > 1``) or False (``--no-arena``).
-    arena: Optional[bool] = None
 
 
 class SocketBusyError(RuntimeError):
@@ -118,10 +107,7 @@ class ReproServer:
 
     def __init__(self, config: ServeConfig):
         self.config = config
-        self.engine = Engine(
-            jobs=config.jobs, cache_dir=config.cache_dir,
-            arena=config.arena,
-        )
+        self.engine = Engine(cache_dir=config.cache_dir)
         self._queue: "queue.Queue[Ticket]" = queue.Queue(
             maxsize=max(1, config.queue_limit)
         )
@@ -157,18 +143,6 @@ class ReproServer:
 
     def start(self) -> None:
         """Bind the socket and start the accept + dispatcher threads."""
-        # A previous daemon that died hard (SIGKILL, OOM) can leak
-        # arena segments in /dev/shm; reap anything whose owner pid is
-        # gone before this instance starts creating its own.
-        from repro.engine import arena as arena_mod
-
-        reaped = arena_mod.reap_stale()
-        if reaped:
-            print(
-                f"[repro serve: reaped {len(reaped)} stale arena "
-                f"segment(s)]",
-                file=sys.stderr,
-            )
         if self.config.trace_path is not None:
             self._tracer = trace.enable()
         if self.config.log_path is not None:
@@ -180,7 +154,6 @@ class ReproServer:
             obs_log.info(
                 "server.start",
                 socket=self.config.socket_path,
-                jobs=self.config.jobs,
                 queue_limit=self.config.queue_limit,
             )
         self._listener = self._bind(self.config.socket_path)
@@ -282,7 +255,7 @@ class ReproServer:
         self.start()
         print(
             f"[repro serve: listening on {self.config.socket_path} "
-            f"(jobs={self.config.jobs}, queue={self.config.queue_limit})]",
+            f"(queue={self.config.queue_limit})]",
             file=sys.stderr,
         )
         while not self._stop.wait(0.2):
@@ -354,9 +327,9 @@ class ReproServer:
     def _handle_connection(self, connection: socket.socket) -> None:
         # Pin this handler thread to the idle server context: while a
         # request is being executed the dispatcher installs that
-        # request's context as the process global (so fork workers
-        # inherit it), and an unpinned handler thread would fall
-        # through to it and mis-attribute its own records.
+        # request's context as the process global, and an unpinned
+        # handler thread would fall through to it and mis-attribute its
+        # own records.
         obs_context.set_thread_context(self._server_ctx)
         write_lock = threading.Lock()
 
@@ -490,11 +463,10 @@ class ReproServer:
         obs_metrics.inc(f"serve_requests_{request.op}")
         self._registry.observe("serve_queue_seconds", queue_s)
         # Request-scoped telemetry bracket: install the request's
-        # correlation context on both layers (the global is what fork
-        # pool workers inherit), observe its pipeline stages through a
-        # timeline, and scope the metrics registry so concurrent
-        # handler-thread counters (sheds, bad frames) can never leak
-        # into this request's per-request delta.
+        # correlation context on both layers, observe its pipeline
+        # stages through a timeline, and scope the metrics registry so
+        # concurrent handler-thread counters (sheds, bad frames) can
+        # never leak into this request's per-request delta.
         request_id = ticket.request_id or "r?"
         request_ctx = obs_context.RequestContext(
             request_id, self._session_trace_id
@@ -519,8 +491,8 @@ class ReproServer:
                 request_id=request_id,
             ):
                 if trace.ENABLED:
-                    # Root of this request's flow: workers emit "t"
-                    # steps with the same id (stitching across pids).
+                    # Root of this request's flow: the "s" event maps
+                    # the flow id to the request id.
                     flow = obs_context.flow_id(request_id)
                     trace.flow(
                         "request", "s", flow,
@@ -776,11 +748,6 @@ class ReproServer:
                     degraded.extend(
                         demotion.render() for demotion in result.resilience
                     )
-        if self.engine.pool_demoted:
-            degraded.append(
-                "analysis engine demoted to in-process serial execution "
-                "(worker pool broke twice)"
-            )
         delta = registry.delta_since(snapshot)
         result_payload["metrics"] = delta["counters"]
         return result_payload, degraded
@@ -890,11 +857,6 @@ class ReproServer:
                     degraded.extend(
                         demotion.render() for demotion in result.resilience
                     )
-        if self.engine.pool_demoted:
-            degraded.append(
-                "analysis engine demoted to in-process serial execution "
-                "(worker pool broke twice)"
-            )
         delta = registry.delta_since(snapshot)
         result_payload["metrics"] = delta["counters"]
         return result_payload, degraded
@@ -1053,11 +1015,9 @@ class ReproServer:
         return {
             "protocol": protocol.PROTOCOL_VERSION,
             "socket": self.config.socket_path,
-            "jobs": self.config.jobs,
             "queue_depth": self._queue.qsize(),
             "queue_limit": self.config.queue_limit,
             "default_deadline_s": self.config.default_deadline_s,
-            "pool_demoted": self.engine.pool_demoted,
             "cache": (
                 self.engine.cache.stats.as_dict()
                 if self.engine.cache is not None

@@ -1,8 +1,10 @@
-"""Engine vs serial parity over the entire golden regression corpus.
+"""Engine vs plain-driver parity over the entire golden regression
+corpus.
 
 The golden corpus pins the analyses' observable outputs; here we assert
-the engine (threaded, jobs=4) reproduces those outputs byte-for-byte on
-every corpus member under that member's own configuration.
+the engine reproduces those outputs byte-for-byte on every corpus
+member under that member's own configuration — cold (summaries built
+and stored) and warm (summaries decoded from the same cache).
 """
 
 import pytest
@@ -27,11 +29,12 @@ def fingerprint(result):
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_engine_matches_serial(name):
+def test_engine_matches_serial(name, tmp_path):
     member = CORPUS[name]
-    serial = fingerprint(analyze_source(member.source, member.config))
-    with Engine(jobs=4, executor="thread") as engine:
-        parallel = fingerprint(
-            analyze_source(member.source, member.config, engine=engine)
-        )
-    assert parallel == serial
+    plain = fingerprint(analyze_source(member.source, member.config))
+    for run in ("cold", "warm"):
+        with Engine(cache_dir=str(tmp_path)) as engine:
+            cached = fingerprint(
+                analyze_source(member.source, member.config, engine=engine)
+            )
+        assert cached == plain, run

@@ -190,6 +190,43 @@ class TestMapBasics:
         )
         assert len(return_map.functions_of("init")) == 2
 
+    def test_functions_of_matches_a_scan_of_the_whole_map(self):
+        """The per-procedure index answers exactly what scanning every
+        function would: same functions, same order, and an overwritten
+        (procedure, target) entry keeps its first position."""
+        from dataclasses import replace
+
+        from repro.analysis.expr import ConstExpr
+        from repro.suite.generator import GeneratorConfig, generate_case
+
+        text = generate_case(
+            4, GeneratorConfig(procedures=8, max_statements_per_procedure=10)
+        ).source
+        # Without MOD every scalar formal and global gets a function.
+        _, built = return_map_for(text, use_mod=False)
+        per_procedure = {}
+        for fn in built:
+            per_procedure.setdefault(fn.procedure_name, []).append(fn)
+        assert sum(len(fns) > 1 for fns in per_procedure.values()) >= 1
+        # Interleave procedures so a procedure's functions are not
+        # contiguous in the map, then overwrite one entry.
+        return_map = ReturnFunctionMap()
+        rounds = max(len(fns) for fns in per_procedure.values())
+        for index in range(rounds):
+            for fns in per_procedure.values():
+                if index < len(fns):
+                    return_map.add(fns[index])
+        target = next(fns[0] for fns in per_procedure.values() if len(fns) > 1)
+        overwrite = replace(target, expr=ConstExpr(99))
+        return_map.add(overwrite)
+        assert len(return_map) == len(built)
+
+        for name in list(per_procedure) + ["main", "nosuchproc"]:
+            scan = [fn for fn in return_map if fn.procedure_name == name]
+            assert return_map.functions_of(name) == scan
+        owner = return_map.functions_of(target.procedure_name)
+        assert owner[0] is overwrite
+
 
 class TestAliasingConservatism:
     """FORTRAN forbids redefining aliased dummy/global pairs; where the

@@ -142,7 +142,7 @@ class TestCachedRunCarriesProvenance:
     def test_record_and_replay_render_identically(self, tmp_path):
         from repro.engine import Engine
 
-        engine = Engine(jobs=1, cache_dir=str(tmp_path / "cache"))
+        engine = Engine(cache_dir=str(tmp_path / "cache"))
         try:
             config = AnalysisConfig()
             result = analyze_source(TRI_PROGRAM, config, engine=engine)

@@ -67,7 +67,7 @@ class TestVerification:
 class TestOptCache:
     def test_record_then_replay(self, tmp_path):
         config = AnalysisConfig()
-        engine = Engine(jobs=1, cache_dir=str(tmp_path))
+        engine = Engine(cache_dir=str(tmp_path))
         try:
             assert engine.cached_opt(SOURCE, config, PASS_NAMES) is None
             result, report = optimize_source(SOURCE, config)
@@ -82,7 +82,7 @@ class TestOptCache:
 
     def test_key_distinguishes_pass_subsets(self, tmp_path):
         config = AnalysisConfig()
-        engine = Engine(jobs=1, cache_dir=str(tmp_path))
+        engine = Engine(cache_dir=str(tmp_path))
         try:
             result, report = optimize_source(SOURCE, config, passes=("fold",))
             engine.record_opt(SOURCE, config, ("fold",), result, report)

@@ -49,9 +49,9 @@ class TestSummaryCacheUnit:
         [path] = glob.glob(
             os.path.join(str(tmp_path), "**", "*.json"), recursive=True
         )
-        wrapper = json.loads(open(path).read())
+        wrapper = json.loads(Path(path).read_text())
         wrapper["body"] = {"x": 2}  # rot the body, keep the old digest
-        open(path, "w").write(json.dumps(wrapper))
+        Path(path).write_text(json.dumps(wrapper))
         base = metrics.snapshot()
         assert cache.get("ret", "b" * 16) is None
         assert cache.stats.quarantined == 1
@@ -75,7 +75,7 @@ class TestSummaryCacheUnit:
         [path] = glob.glob(
             os.path.join(str(tmp_path), "**", "*.json"), recursive=True
         )
-        open(path, "w").write(json.dumps({"x": 1}))  # pre-checksum layout
+        Path(path).write_text(json.dumps({"x": 1}))  # pre-checksum layout
         assert cache.get("ret", "d" * 16) is None
         assert cache.stats.quarantined == 1
 
@@ -166,11 +166,11 @@ class TestEngineUnderCacheFaults:
         and recomputes; both runs must match the cacheless truth."""
         truth = fingerprint(TRI_PROGRAM)
         faults.install("truncate-cache", export_env=False)
-        with Engine(jobs=1, cache_dir=str(tmp_path)) as engine:
+        with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
         faults.clear()
         base = metrics.snapshot()
-        with Engine(jobs=1, cache_dir=str(tmp_path)) as engine:
+        with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
             assert engine.cache.stats.quarantined > 0
         delta = metrics.delta_since(base)["counters"]
@@ -180,17 +180,17 @@ class TestEngineUnderCacheFaults:
     def test_rotted_digest_recomputes_identically(self, tmp_path):
         truth = fingerprint(TRI_PROGRAM)
         faults.install("corrupt-cache:namespace=ret", export_env=False)
-        with Engine(jobs=1, cache_dir=str(tmp_path)) as engine:
+        with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
         faults.clear()
-        with Engine(jobs=1, cache_dir=str(tmp_path)) as engine:
+        with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
             assert engine.cache.stats.quarantined > 0
 
     def test_unwritable_cache_still_analyzes(self, tmp_path):
         truth = fingerprint(TRI_PROGRAM)
         faults.install("fail-write", export_env=False)
-        with Engine(jobs=1, cache_dir=str(tmp_path)) as engine:
+        with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
             assert engine.cache.stats.store_failures > 0
             assert engine.cache.stats.stores == 0

@@ -67,9 +67,9 @@ class TestTriggering:
         assert faults.fire("kill-worker") is None
 
     def test_context_values_compared_as_strings(self):
-        faults.install("kill-worker:level=1", export_env=False)
-        assert faults.fire("kill-worker", level=0) is None
-        assert faults.fire("kill-worker", level=1) is not None
+        faults.install("corrupt-cache:namespace=1", export_env=False)
+        assert faults.fire("corrupt-cache", namespace=0) is None
+        assert faults.fire("corrupt-cache", namespace=1) is not None
 
     def test_wrong_point_never_fires(self):
         faults.install("fail-write", export_env=False)
@@ -125,8 +125,8 @@ class TestProcessPlumbing:
     def test_host_process_is_never_killed(self):
         """The dangerous one: ``kill-worker`` in the host (inline or
         thread execution) must record the fire and then *not* SIGKILL —
-        otherwise a demoted-to-serial engine would take the daemon down
-        with it."""
+        otherwise a batch demoted to serial would take its own host
+        down."""
         plan = faults.install("kill-worker", export_env=False)
-        faults.maybe_kill_worker(stage="ret", level=0)
+        faults.maybe_kill_worker(stage="batch", path="prog.f")
         assert plan.specs[0].fired == 1  # and we are still alive

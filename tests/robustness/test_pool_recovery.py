@@ -1,81 +1,23 @@
-"""Worker-crash recovery: a SIGKILLed pool worker must cost at most a
-rebuild (first crash) or a demotion to in-process serial execution
-(second crash) — never a wrong answer, never a dead host process.
+"""Worker-crash recovery: a SIGKILLed batch pool worker must cost at
+most a rebuild (first crash) or a demotion to in-process serial
+execution (second crash) — never a wrong answer, never a dead host
+process.
 
 The two crash cadences are driven by the two fault trigger modes:
 
 - ``flag=PATH`` — fire-once-globally: exactly one worker dies, the
   rebuilt pool finds the fault disarmed, the retry succeeds;
 - no flag — every worker of every pool dies, so the rebuild breaks
-  too and the engine/batch must fall back to serial.
+  too and the batch must fall back to serial.
 """
 
 from __future__ import annotations
 
 from repro import faults
 from repro.config import AnalysisConfig
-from repro.engine import Engine
 from repro.engine.batch import run_batch
-from repro.ipcp.driver import analyze_source
 from repro.obs import metrics
 from repro.testkit import TRI_PROGRAM
-
-
-def fingerprint(text, engine=None):
-    result = analyze_source(text, AnalysisConfig(), engine=engine)
-    return (
-        result.constants.format_report(),
-        dict(result.substitution.per_procedure),
-        result.transformed_source(),
-    ), result
-
-
-class TestEnginePoolRecovery:
-    def test_single_crash_rebuilds_and_retries(self, tmp_path):
-        serial, _ = fingerprint(TRI_PROGRAM)
-        flag = tmp_path / "armed"
-        flag.write_text("")
-        faults.install(f"kill-worker:stage=ret,flag={flag}")
-        base = metrics.snapshot()
-        with Engine(jobs=2, executor="process") as engine:
-            recovered, result = fingerprint(TRI_PROGRAM, engine=engine)
-            assert not engine.pool_demoted
-        delta = metrics.delta_since(base)["counters"]
-        assert recovered == serial
-        assert delta.get("engine_pool_broken") == 1
-        assert delta.get("engine_pool_rebuilds") == 1
-        assert "engine_pool_demotions" not in delta
-        assert result.resilience.ok
-
-    def test_double_crash_demotes_to_serial(self):
-        serial, _ = fingerprint(TRI_PROGRAM)
-        faults.install("kill-worker:stage=ret")
-        base = metrics.snapshot()
-        with Engine(jobs=2, executor="process") as engine:
-            degraded, result = fingerprint(TRI_PROGRAM, engine=engine)
-            assert engine.pool_demoted
-            assert engine.jobs == 1
-        delta = metrics.delta_since(base)["counters"]
-        assert degraded == serial, "serial fallback must be byte-identical"
-        assert delta.get("engine_pool_demotions") == 1
-        components = [d.component for d in result.resilience.demotions]
-        assert "engine_pool" in components, (
-            "the demotion must be visible in the resilience report"
-        )
-
-    def test_demoted_engine_keeps_serving(self):
-        """After demotion the engine is a plain serial engine: later
-        runs still answer (the daemon reuses one engine forever)."""
-        faults.install("kill-worker:stage=ret")
-        with Engine(jobs=2, executor="process") as engine:
-            first, _ = fingerprint(TRI_PROGRAM, engine=engine)
-            assert engine.pool_demoted
-            faults.clear()
-            second, result = fingerprint(TRI_PROGRAM, engine=engine)
-        assert second == first
-        assert result.resilience.ok, (
-            "post-demotion runs are plain serial runs, not degraded ones"
-        )
 
 
 class TestBatchPoolRecovery:

@@ -329,29 +329,6 @@ class TestServeFaults:
             server.request_stop()
             server.finish()
 
-    def test_killed_workers_degrade_but_answer_identically(self, workdir):
-        """SIGKILLed pool workers twice over: the daemon's engine must
-        demote to in-process serial, say so in ``degraded``, and still
-        return byte-identical analysis content — and the daemon itself
-        must survive (the fault guard never kills the host)."""
-        faults.install("kill-worker:stage=ret")
-        server = make_server(workdir, jobs=2)
-        program = str(workdir / "prog.f")
-        try:
-            with ReproClient(server.config.socket_path) as client:
-                response = client.analyze(program)
-                assert response["ok"]
-                assert content_of(response) == serial_truth()
-                assert any("serial" in note for note in response["degraded"])
-                faults.clear()
-                status = client.status()["result"]
-                assert status["pool_demoted"] is True
-                again = client.analyze(program)
-                assert content_of(again) == serial_truth()
-        finally:
-            server.request_stop()
-            server.finish()
-
 
 class TestServeProtocolEdges:
     def test_malformed_frame_gets_bad_request(self, workdir):

@@ -245,7 +245,7 @@ class TestScopeIsolation:
                 + f"\nC variant {index}\n"
             )
             programs.append(str(path))
-        server = make_server(tmp_path, jobs=2)
+        server = make_server(tmp_path)
         deltas = [None] * len(programs)
         errors = []
 

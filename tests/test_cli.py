@@ -73,14 +73,6 @@ class TestEngineFlags:
         with pytest.raises(SystemExit):
             main(["analyze", program_file, "--solver", "chaos"])
 
-    def test_jobs_output_matches_serial(self, program_file, capsys):
-        assert main(["analyze", program_file, "--transform"]) == 0
-        serial = capsys.readouterr().out
-        assert main(
-            ["analyze", program_file, "--transform", "--jobs", "4"]
-        ) == 0
-        assert capsys.readouterr().out == serial
-
     def test_cache_dir_output_matches_serial(
         self, program_file, tmp_path, capsys
     ):
