@@ -39,7 +39,7 @@ from typing import List, Optional
 
 from repro.config import AnalysisBudget, AnalysisConfig, BudgetExceeded, JumpFunctionKind
 from repro.frontend.errors import FrontendError
-from repro.ipcp.driver import analyze_file, analyze_file_resilient
+from repro.ipcp.driver import analyze_file
 from repro.ir.verify import VerificationError
 
 #: Exit codes (``analyze`` subcommand): 0 = clean analysis, 1 = source
@@ -688,40 +688,34 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
     )
 
 
+def _cache_dir_from_args(args: argparse.Namespace) -> Optional[str]:
+    """The cache directory ``--cache``, ``--cache-dir`` or
+    ``--explain-invalidation`` asks for; None when none of them is
+    given."""
+    if not (args.cache or args.cache_dir is not None
+            or args.explain_invalidation):
+        return None
+    from repro.engine import default_cache_root
+
+    return args.cache_dir or default_cache_root()
+
+
 def _engine_from_args(args: argparse.Namespace):
     """Build an :class:`repro.engine.Engine` when any engine feature is
     requested; plain serial analysis (None) otherwise, so the default
     CLI path stays exactly the pre-engine pipeline."""
-    wants_cache = (
-        args.cache
-        or args.cache_dir is not None
-        or getattr(args, "explain_invalidation", False)
-    )
-    if not wants_cache and args.profile is None:
+    cache_dir = _cache_dir_from_args(args)
+    if cache_dir is None and args.profile is None:
         return None
-    from repro.engine import Engine, default_cache_root
+    from repro.engine import Engine
     from repro.profiling import PipelineProfile
 
-    cache_dir = None
-    if wants_cache:
-        cache_dir = args.cache_dir or default_cache_root()
     profile = PipelineProfile() if args.profile is not None else None
     return Engine(cache_dir=cache_dir, profile=profile)
 
 
-def _render_substitution_counts(per_procedure) -> None:
-    for name in sorted(per_procedure):
-        count = per_procedure[name]
-        if count:
-            print(f"  {name}: {count}")
-
-
-def _emit_profile(engine, destination: str) -> None:
-    engine.finish_profile()
-    from repro import profiling
-
-    engine.profile.merge_counters(profiling.global_counters())
-    text = engine.profile.to_json()
+def _write_profile(text: str, destination: str) -> None:
+    """``--profile`` output: a stdout section for ``-``, else a file."""
     if destination == "-":
         print("\n--- profile ---")
         print(text)
@@ -729,6 +723,14 @@ def _emit_profile(engine, destination: str) -> None:
         with open(destination, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         print(f"[profile written to {destination}]")
+
+
+def _emit_profile(engine, destination: str) -> None:
+    engine.finish_profile()
+    from repro import profiling
+
+    engine.profile.merge_counters(profiling.global_counters())
+    _write_profile(engine.profile.to_json(), destination)
 
 
 def _start_trace(args: argparse.Namespace):
@@ -837,202 +839,30 @@ def _finish_obs(args: argparse.Namespace, logger, context,
             obs_context.clear()
 
 
-def _print_explain(provenance, query: str) -> int:
-    """Render one ``--explain`` section; EXIT_OK or EXIT_DIAGNOSTICS
-    (unknown/malformed cell query)."""
-    print(f"\n--- explain {query} ---")
-    try:
-        sys.stdout.write(provenance.explain(query))
-    except ValueError as err:
-        print(f"explain: {err}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    return EXIT_OK
+def _cmd_request(args: argparse.Namespace, files=None) -> int:
+    """``analyze``, ``link``, ``optimize`` and ``batch --link``: one
+    :func:`repro.pipeline.run` request inside one telemetry bracket,
+    printed by :func:`_render_outcome`. ``files`` (or ``link``'s own
+    ``FILE...``) makes the request a linked project."""
+    from repro.obs import trace
 
-
-def _payload_serves(payload: dict, args: argparse.Namespace) -> bool:
-    """Whether a cached run payload carries every rendering this
-    invocation needs. Payloads record ``stats``/``ir`` as None when
-    their rendering failed at store time; such runs fall through to a
-    live analysis rather than silently dropping a section."""
-    if args.dump_ir and payload.get("ir") is None:
-        return False
-    if args.stats and payload.get("stats") is None:
-        return False
-    if getattr(args, "explain", None):
-        from repro.obs.provenance import ConstantProvenance
-
-        if ConstantProvenance.from_payload(payload.get("provenance")) is None:
-            return False
-    return True
-
-
-def _replay_cached_run(payload: dict, args: argparse.Namespace, engine) -> int:
-    """Render a cached whole-run outcome — only clean runs are ever
-    recorded, so this is always a diagnostics-free EXIT_OK replay.
-    Sections print in the live path's order (transform, IR, stats)."""
-    print(f"configuration: {payload['config']}")
-    print(payload["constants_report"])
-    print(f"substituted constant references: {payload['substituted']}")
-    _render_substitution_counts(payload["per_procedure"])
-    exit_code = EXIT_OK
-    if getattr(args, "explain", None):
-        from repro.obs.provenance import ConstantProvenance
-
-        provenance = ConstantProvenance.from_payload(payload["provenance"])
-        exit_code = _print_explain(provenance, args.explain)
-    if args.transform and payload.get("transformed_source") is not None:
-        print("\n--- transformed source ---")
-        print(payload["transformed_source"])
-    if args.dump_ir:
-        print("\n--- SSA IR ---")
-        print(payload["ir"])
-    if args.stats:
-        print("\n--- statistics ---")
-        print(payload["stats"])
-    if args.explain_invalidation:
-        print("\n--- invalidation ---")
-        print(engine.replayed_report(args.file).format())
-    return exit_code
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    engine = _engine_from_args(args)
-    tracer = _start_trace(args)
-    logger, context = _start_obs(args, "analyze")
-    code: Optional[int] = None
-    try:
-        from repro.obs import trace
-
-        with trace.span("analyze", file=args.file,
-                        request_id=context.request_id if context else None):
-            _flow_root(context, op="analyze", path=args.file)
-            code = _run_analyze(args, config, engine)
-            return code
-    finally:
-        if engine is not None:
-            if engine.profile is not None:
-                _emit_profile(engine, args.profile)
-            engine.close()
-        _write_trace(args, tracer)
-        _write_metrics(args)
-        _finish_obs(args, logger, context, exit_code=code)
-
-
-def _run_analyze(args: argparse.Namespace, config, engine) -> int:
-    # Whole-run fast path: an unchanged (source, config) pair whose
-    # previous run was clean replays its recorded output without
-    # parsing — including the --stats and --dump-ir renderings, which
-    # the payload carries. Modes that need the live program object
-    # (dot files), strict mode, and the IR verifier bypass it.
-    opt_passes = None
-    if getattr(args, "optimize", False):
-        from repro.opt import parse_passes
-
-        try:
-            opt_passes = parse_passes(args.passes)
-        except ValueError as err:
-            print(f"optimize: {err}", file=sys.stderr)
-            return EXIT_DIAGNOSTICS
-    replayable = not (
-        args.dot or args.strict or args.verify_ir or opt_passes is not None
-    )
-    text = None
-    if engine is not None and engine.cache is not None:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError):
-            text = None  # let the normal path produce the located error
-        if text is not None and replayable:
-            payload = engine.cached_run(text, config, bool(args.explain))
-            if payload is not None and _payload_serves(payload, args):
-                return _replay_cached_run(payload, args, engine)
-
-    if args.strict:
-        result = analyze_file(args.file, config, engine=engine)
-        diagnostics = None
+    files = files if files is not None else getattr(args, "files", None)
+    if files is None:
+        command = args.command
+        span_attrs, flow_attrs = {"file": args.file}, {"path": args.file}
     else:
-        result, diagnostics = analyze_file_resilient(
-            args.file, config, engine=engine
-        )
-        if len(diagnostics):
-            print(diagnostics.format(), file=sys.stderr)
-        if result is None:
-            return EXIT_DIAGNOSTICS
-    print(f"configuration: {config.describe()}")
-    print(result.constants.format_report())
-    print(f"substituted constant references: {result.substituted_constants}")
-    _render_substitution_counts(result.substitution.per_procedure)
-    provenance = None
-    if getattr(args, "explain", None):
-        from repro.obs.provenance import build_provenance
-
-        provenance = build_provenance(result)
-    opt_report = None
-    if opt_passes is not None:
-        from repro.opt import optimize_result
-
-        opt_report = optimize_result(
-            result, opt_passes, verify=args.verify_ir
-        )
-        print(opt_report.render())
-        if provenance is not None:
-            provenance.annotate_used_by(opt_report.used_by)
-    explain_code = EXIT_OK
-    if provenance is not None:
-        explain_code = _print_explain(provenance, args.explain)
-    if args.transform:
-        print("\n--- transformed source ---")
-        print(result.transformed_source())
-    if args.dump_ir:
-        from repro.ir.printer import format_program
-
-        header = "optimized IR" if opt_report is not None else "SSA IR"
-        print(f"\n--- {header} ---")
-        print(format_program(result.program))
-    if args.stats:
-        from repro.ipcp.stats import collect_statistics
-
-        print("\n--- statistics ---")
-        print(collect_statistics(result).format())
-    if args.dot:
-        from repro.ir.dot import write_dot_files
-
-        paths = write_dot_files(
-            result.program, result.callgraph, args.dot, result.constants
-        )
-        print(f"[{len(paths)} Graphviz files written to {args.dot}]")
-    if engine is not None and text is not None and replayable:
-        engine.record_run(text, config, result, provenance)
-    if engine is not None and engine.cache is not None:
-        report = engine.finish_incremental(args.file)
-        if report is not None and args.explain_invalidation:
-            print("\n--- invalidation ---")
-            print(report.format())
-    if not result.resilience.ok:
-        print("\n--- degraded components ---", file=sys.stderr)
-        print(result.resilience.summary(), file=sys.stderr)
-        if args.strict:
-            return EXIT_INTERNAL
-    if diagnostics is not None and diagnostics.has_errors:
-        return EXIT_DIAGNOSTICS
-    return explain_code
-
-
-def _cmd_link(args: argparse.Namespace) -> int:
+        command = "link"
+        span_attrs = flow_attrs = {"files": len(files)}
     config = _config_from_args(args)
     engine = _engine_from_args(args)
     tracer = _start_trace(args)
-    logger, context = _start_obs(args, "link")
+    logger, context = _start_obs(args, command)
     code: Optional[int] = None
     try:
-        from repro.obs import trace
-
-        with trace.span("link", files=len(args.files),
+        with trace.span(command, **span_attrs,
                         request_id=context.request_id if context else None):
-            _flow_root(context, op="link", files=len(args.files))
-            code = _run_link(args, config, engine)
+            _flow_root(context, op=command, **flow_attrs)
+            code = _run_request(args, files, config, engine)
             return code
     finally:
         if engine is not None:
@@ -1044,117 +874,124 @@ def _cmd_link(args: argparse.Namespace) -> int:
         _finish_obs(args, logger, context, exit_code=code)
 
 
-def _run_link(args: argparse.Namespace, config, engine) -> int:
-    from repro.diagnostics import E_LINK
-    from repro.linkage import (
-        analyze_linked_sources,
-        project_bundle_text,
-        project_label,
-    )
+#: Flags that ask for a rendered section, and the section they ask for.
+_SECTION_FLAGS = {
+    "transform": "transform",
+    "dump_ir": "ir",
+    "output": "ir",
+    "stats": "stats",
+    "symbols": "symbols",
+}
 
-    named = []
-    for path in args.files:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                named.append((path, handle.read()))
-        except (OSError, UnicodeDecodeError) as err:
-            from repro.ipcp.driver import _located_io_error
 
-            located = _located_io_error(path, err)
-            print(f"{located.location}: error: {located.message}",
-                  file=sys.stderr)
-            return EXIT_DIAGNOSTICS
+def _run_request(args: argparse.Namespace, files, config, engine) -> int:
+    from repro import pipeline
 
-    bundle = project_bundle_text(named, args.entry)
-    label = project_label(args.files, args.entry)
-    # The replay/invalidation helpers address runs by one path; a
-    # linked project's stable stand-in is its manifest label.
-    args.file = label
-    args.transform = False
-
-    opt_passes = None
-    if getattr(args, "optimize", False):
+    passes = None
+    if args.command == "optimize" or getattr(args, "optimize", False):
         from repro.opt import parse_passes
 
         try:
-            opt_passes = parse_passes(getattr(args, "passes", None))
+            passes = parse_passes(args.passes)
         except ValueError as err:
             print(f"optimize: {err}", file=sys.stderr)
             return EXIT_DIAGNOSTICS
-
-    if (engine is not None and engine.cache is not None
-            and opt_passes is None):
-        payload = engine.cached_run(bundle, config, bool(args.explain))
-        if payload is not None and _payload_serves(payload, args):
-            return _replay_cached_run(payload, args, engine)
-
-    result, link = analyze_linked_sources(
-        named, config, entry=args.entry, engine=engine
+    renders = {
+        section for flag, section in _SECTION_FLAGS.items()
+        if getattr(args, flag, None)
+    }
+    if args.command != "optimize":
+        renders.add("constants")
+    request = pipeline.Request(
+        config,
+        path=args.file if files is None else None,
+        project=files,
+        entry=getattr(args, "entry", None),
+        explain=getattr(args, "explain", None),
+        passes=passes,
+        renders=frozenset(renders),
+        dot=getattr(args, "dot", None),
+        strict=getattr(args, "strict", False),
     )
-    if len(link.diagnostics):
-        print(link.diagnostics.format(), file=sys.stderr)
-    if result is None:
-        link_failed = any(
-            d.code in (E_LINK,) for d in link.diagnostics.errors()
-        )
-        return EXIT_INTERNAL if link_failed else EXIT_DIAGNOSTICS
-    print(f"configuration: {config.describe()}")
-    print(f"linked {len(args.files)} file(s) -> "
-          f"{sum(1 for _ in result.program)} procedure(s)")
-    if getattr(args, "symbols", False):
-        print("\n--- symbol table ---")
-        print(link.format_symbol_table())
-    print(result.constants.format_report())
-    print(f"substituted constant references: {result.substituted_constants}")
-    _render_substitution_counts(result.substitution.per_procedure)
-    provenance = None
-    if getattr(args, "explain", None):
-        from repro.obs.provenance import build_provenance
+    return _render_outcome(args, request, pipeline.run(request, engine))
 
-        provenance = build_provenance(result)
-    opt_report = None
-    if opt_passes is not None:
-        from repro.opt import optimize_result
 
-        opt_report = optimize_result(
-            result, opt_passes, verify=getattr(args, "verify_ir", False)
-        )
-        print(opt_report.render())
-        if provenance is not None:
-            provenance.annotate_used_by(opt_report.used_by)
-    explain_code = EXIT_OK
-    if provenance is not None:
-        explain_code = _print_explain(provenance, args.explain)
-    if getattr(args, "dump_ir", False):
-        from repro.ir.printer import format_program
+def _render_outcome(args: argparse.Namespace, request, outcome) -> int:
+    """Print one pipeline outcome and return the exit code. A replayed
+    outcome carries the same sections as a live one, so both print the
+    same bytes."""
+    from repro.ipcp.resilience import summarize_demotions
+    from repro.pipeline import DIAGNOSTICS, ERROR
 
-        header = "optimized IR" if opt_report is not None else "SSA IR"
-        print(f"\n--- {header} ---")
-        print(format_program(result.program))
-    if getattr(args, "stats", False):
-        from repro.ipcp.stats import collect_statistics
-
-        print("\n--- statistics ---")
-        print(collect_statistics(result).format())
-    if engine is not None and opt_passes is None:
-        engine.record_run(bundle, config, result, provenance)
-    if engine is not None and engine.cache is not None:
-        report = engine.finish_incremental(label)
-        if report is not None and args.explain_invalidation:
-            print("\n--- invalidation ---")
-            print(report.format())
-    if not result.resilience.ok:
-        print("\n--- degraded components ---", file=sys.stderr)
-        print(result.resilience.summary(), file=sys.stderr)
-    if link.diagnostics.has_errors:
+    if outcome.diagnostics:
+        print(outcome.diagnostics, file=sys.stderr)
+    if outcome.status == ERROR:
+        if not outcome.diagnostics:
+            print(outcome.summary_line(), file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    return explain_code
+    if outcome.status == DIAGNOSTICS:
+        from repro.diagnostics import E_LINK
+
+        if E_LINK in outcome.error_codes:
+            return EXIT_INTERNAL
+        return EXIT_DIAGNOSTICS
+    print(f"configuration: {outcome.config}")
+    if request.project is not None:
+        print(f"linked {len(request.project)} file(s) -> "
+              f"{len(outcome.per_procedure)} procedure(s)")
+    if outcome.symbols is not None:
+        print("\n--- symbol table ---")
+        print(outcome.symbols)
+    if "constants" in request.renders:
+        print(outcome.constants_report)
+        print(f"substituted constant references: {outcome.substituted}")
+        for name, count in sorted(outcome.per_procedure.items()):
+            if count:
+                print(f"  {name}: {count}")
+    if outcome.opt_report is not None:
+        print(outcome.opt_report)
+    code = EXIT_OK
+    if request.explain is not None:
+        print(f"\n--- explain {request.explain} ---")
+        if outcome.explain_error is not None:
+            print(f"explain: {outcome.explain_error}", file=sys.stderr)
+            code = EXIT_DIAGNOSTICS
+        else:
+            sys.stdout.write(outcome.explain)
+    if outcome.transformed_source is not None:
+        print("\n--- transformed source ---")
+        print(outcome.transformed_source)
+    if getattr(args, "dump_ir", False):
+        header = "SSA IR" if request.passes is None else "optimized IR"
+        print(f"\n--- {header} ---")
+        print(outcome.ir)
+    if getattr(args, "output", None):
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(outcome.ir + "\n")
+        print(f"[optimized IR written to {args.output}]")
+    if outcome.stats is not None:
+        print("\n--- statistics ---")
+        print(outcome.stats)
+    if outcome.dot_files is not None:
+        print(f"[{outcome.dot_files} Graphviz files written to {request.dot}]")
+    if args.explain_invalidation and outcome.invalidation is not None:
+        from repro.engine.incremental import format_invalidation
+
+        print("\n--- invalidation ---")
+        print(format_invalidation(outcome.invalidation))
+    if outcome.degraded:
+        print("\n--- degraded components ---", file=sys.stderr)
+        print(summarize_demotions(outcome.degraded), file=sys.stderr)
+        if request.strict:
+            return EXIT_INTERNAL
+    if outcome.error_codes:
+        return EXIT_DIAGNOSTICS
+    return code
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
-    from repro.engine import default_cache_root
     from repro.engine.batch import read_stdin_list, run_batch
     from repro.engine.incremental import format_invalidation
 
@@ -1176,13 +1013,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return EXIT_DIAGNOSTICS
     if getattr(args, "link", False):
         # Whole-program mode: the file set is one linked program, not
-        # N independent ones. Reuse the link pipeline (same flags,
-        # same exit-code contract: 2 on link failure).
-        args.files = paths
-        for missing in ("symbols", "explain", "stats", "dump_ir"):
-            if not hasattr(args, missing):
-                setattr(args, missing, None)
-        return _cmd_link(args)
+        # N independent ones — the ``link`` request (same flags, same
+        # exit-code contract: 2 on link failure).
+        return _cmd_request(args, paths)
     if len(paths) > 1:
         from repro.linkage.linker import duplicate_units_across_files
 
@@ -1196,12 +1029,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 f"use --link to resolve them into one program]",
                 file=sys.stderr,
             )
-    wants_cache = (
-        args.cache or args.cache_dir is not None or args.explain_invalidation
-    )
-    cache_dir = (
-        (args.cache_dir or default_cache_root()) if wants_cache else None
-    )
+    cache_dir = _cache_dir_from_args(args)
     tracer = _start_trace(args)
     logger, context = _start_obs(args, "batch")
     previous_handlers = _install_interrupt_handlers()
@@ -1246,7 +1074,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             print(outcome.constants_report)
         if args.report and outcome.opt_report is not None:
             print(outcome.opt_report)
-        if outcome.diagnostics:
+        if outcome.diagnostics and not outcome.error:
             print(outcome.diagnostics, file=sys.stderr)
         if args.explain_invalidation and outcome.invalidation is not None:
             print(format_invalidation(outcome.invalidation))
@@ -1273,111 +1101,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             print(f"  batch_file_seconds {rendered}")
     _write_metrics(args, registry=merged)
     if args.profile is not None:
-        text = json.dumps(result.profile_report(), indent=2)
-        if args.profile == "-":
-            print("\n--- profile ---")
-            print(text)
-        else:
-            with open(args.profile, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"[profile written to {args.profile}]")
+        _write_profile(
+            json.dumps(result.profile_report(), indent=2), args.profile
+        )
     code = EXIT_OK if result.ok else EXIT_DIAGNOSTICS
     _finish_obs(args, logger, context, exit_code=code)
     return code
-
-
-def _replay_cached_opt(payload: dict, args: argparse.Namespace) -> int:
-    """Render a cached optimization outcome byte-identically to the
-    live path (report, optional IR dump, optional IR file write)."""
-    print(f"configuration: {payload['config']}")
-    print(payload["report"])
-    if args.dump_ir:
-        print("\n--- optimized IR ---")
-        print(payload["ir"])
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload["ir"] + "\n")
-        print(f"[optimized IR written to {args.output}]")
-    return EXIT_OK
-
-
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    engine = _engine_from_args(args)
-    tracer = _start_trace(args)
-    logger, context = _start_obs(args, "optimize")
-    code: Optional[int] = None
-    try:
-        from repro.obs import trace
-
-        with trace.span("optimize", file=args.file,
-                        request_id=context.request_id if context else None):
-            _flow_root(context, op="optimize", path=args.file)
-            code = _run_optimize(args, config, engine)
-            return code
-    finally:
-        if engine is not None:
-            if engine.profile is not None:
-                _emit_profile(engine, args.profile)
-            engine.close()
-        _write_trace(args, tracer)
-        _write_metrics(args)
-        _finish_obs(args, logger, context, exit_code=code)
-
-
-def _run_optimize(args: argparse.Namespace, config, engine) -> int:
-    from repro.opt import optimize_result, parse_passes
-
-    try:
-        passes = parse_passes(args.passes)
-    except ValueError as err:
-        print(f"optimize: {err}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    # Whole-run fast path: an unchanged (source, config, passes) triple
-    # whose previous optimization was clean replays the recorded report
-    # and optimized IR without re-analyzing. --verify-ir bypasses it
-    # (the point of the flag is to re-run the verifier).
-    replayable = not args.verify_ir
-    text = None
-    if engine is not None and engine.cache is not None:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError):
-            text = None  # let the normal path produce the located error
-        if text is not None and replayable:
-            payload = engine.cached_opt(text, config, passes)
-            if payload is not None and payload.get("ir") is not None:
-                return _replay_cached_opt(payload, args)
-
-    result, diagnostics = analyze_file_resilient(
-        args.file, config, engine=engine
-    )
-    if len(diagnostics):
-        print(diagnostics.format(), file=sys.stderr)
-    if result is None:
-        return EXIT_DIAGNOSTICS
-    report = optimize_result(result, passes, verify=args.verify_ir)
-    from repro.ir.printer import format_program
-
-    ir_text = format_program(result.program)
-    print(f"configuration: {config.describe()}")
-    print(report.render())
-    if args.dump_ir:
-        print("\n--- optimized IR ---")
-        print(ir_text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(ir_text + "\n")
-        print(f"[optimized IR written to {args.output}]")
-    if engine is not None and text is not None and replayable:
-        engine.record_opt(text, config, passes, result, report)
-    if not result.resilience.ok:
-        print("\n--- degraded components ---", file=sys.stderr)
-        print(result.resilience.summary(), file=sys.stderr)
-    if diagnostics.has_errors:
-        return EXIT_DIAGNOSTICS
-    return EXIT_OK
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1806,14 +1535,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     sys.stderr.write("\n")
     print(report.summary())
     if profile is not None:
-        text = profile.to_json()
-        if args.profile == "-":
-            print("\n--- profile ---")
-            print(text)
-        else:
-            with open(args.profile, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"[profile written to {args.profile}]")
+        _write_profile(profile.to_json(), args.profile)
     if not report.ok:
         if args.corpus:
             print(f"minimized counterexamples written to {args.corpus}/")
@@ -1903,10 +1625,10 @@ def _cmd_oracle_opt(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
-        "analyze": _cmd_analyze,
-        "link": _cmd_link,
+        "analyze": _cmd_request,
+        "link": _cmd_request,
         "batch": _cmd_batch,
-        "optimize": _cmd_optimize,
+        "optimize": _cmd_request,
         "serve": _cmd_serve,
         "client": _cmd_client,
         "top": _cmd_top,

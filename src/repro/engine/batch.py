@@ -13,10 +13,10 @@ order so small files fill the slots left idle while a worker chews on a
 large one — classic LPT list scheduling. Results are reported in the
 caller's input order regardless.
 
-Every file flows through the same per-file pipeline the ``analyze``
-subcommand uses — run-level replay cache first, then resilient
-analysis, then :meth:`~repro.engine.core.Engine.record_run` and the
-incremental manifest update — so a batch run leaves the cache exactly
+Every file is one :func:`repro.pipeline.run` request, the same
+replay-or-analyze core ``repro analyze`` and the daemon call: run-level
+replay first, then resilient analysis, the ``run``/``opt`` records and
+the incremental manifest update. A batch run leaves the cache exactly
 as N sequential ``analyze --cache`` runs would, and a later incremental
 batch recomputes only the dirty procedures of edited files.
 """
@@ -27,78 +27,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro import faults
+from repro import faults, pipeline
 from repro.config import AnalysisConfig
-
-#: Outcome statuses, in severity order.
-OK = "ok"
-DIAGNOSTICS = "diagnostics"
-ERROR = "error"
-
-
-@dataclass
-class FileOutcome:
-    """One file's result, JSON-able end to end (it crosses the pool)."""
-
-    path: str
-    status: str = OK
-    config: Optional[str] = None
-    constants_report: Optional[str] = None
-    total_pairs: int = 0
-    substituted: int = 0
-    per_procedure: Dict[str, int] = field(default_factory=dict)
-    diagnostics: Optional[str] = None
-    error: Optional[str] = None
-    #: Served wholesale from the run-level replay cache.
-    replayed: bool = False
-    #: ``InvalidationReport.to_dict()`` (cache-enabled runs only).
-    invalidation: Optional[dict] = None
-    #: ``PipelineProfile.to_dict()`` (profiled runs only).
-    profile: Optional[dict] = None
-    #: Per-file :class:`~repro.obs.metrics.MetricsRegistry` delta
-    #: (metrics-enabled runs only) — counters this file caused, isolated
-    #: from everything the process did before it.
-    metrics: Optional[dict] = None
-    #: Chrome trace events recorded by a pool worker, shipped back for
-    #: the parent tracer to adopt (cleared once adopted).
-    trace_events: Optional[list] = None
-    #: Rendered :class:`~repro.opt.report.OptReport` (``--optimize``
-    #: runs only), plus its total change count for the summary line.
-    opt_report: Optional[str] = None
-    opt_changes: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.status == OK
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "status": self.status,
-            "total_pairs": self.total_pairs,
-            "substituted": self.substituted,
-            "replayed": self.replayed,
-            "error": self.error,
-            "invalidation": self.invalidation,
-            "profile": self.profile,
-            "metrics": self.metrics,
-            "opt_changes": self.opt_changes if self.opt_report else None,
-        }
-
-    def summary_line(self) -> str:
-        if self.status == ERROR:
-            return f"{self.path}: error: {self.error}"
-        if self.status == DIAGNOSTICS:
-            return f"{self.path}: diagnostics reported (no result)"
-        opt = (
-            f", optimized ({self.opt_changes} change(s))"
-            if self.opt_report is not None else ""
-        )
-        suffix = "  [replayed]" if self.replayed else ""
-        return (
-            f"{self.path}: {self.total_pairs} constant(s), "
-            f"{self.substituted} substituted{opt}{suffix}"
-        )
+from repro.pipeline import ERROR, FileOutcome
 
 
 @dataclass
@@ -177,7 +108,11 @@ def analyze_one(
     want_trace: bool = False,
     optimize: Optional[Sequence[str]] = None,
 ) -> FileOutcome:
-    """The per-file unit of batch work: replay-or-analyze ``path``.
+    """The per-file unit of batch work: one :func:`repro.pipeline.run`
+    request for ``path`` inside batch's own bracket — fault points, a
+    per-file metrics scope and profile, a per-file correlation context
+    and ``batch.file`` span, and trace shipping out of pool workers.
+    ``explain`` keeps each file's invalidation report on the outcome.
 
     Runs inline (``jobs=1``) or inside a pool worker; everything it
     touches and returns is picklable. Each call uses a private
@@ -195,8 +130,6 @@ def analyze_one(
 
     from repro import profiling
     from repro.engine.core import Engine
-    from repro.frontend.errors import FrontendError
-    from repro.ipcp.driver import analyze_file_resilient
     from repro.obs import context as obs_context
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace
@@ -249,74 +182,12 @@ def analyze_one(
             request_id=file_ctx.request_id, path=path,
         )
     try:
-        text: Optional[str] = None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as err:
-            outcome.status = ERROR
-            outcome.error = str(err)
-            return outcome
-
-        if engine.cache is not None:
-            payload = engine.cached_run(text, config)
-            opt_payload = (
-                engine.cached_opt(text, config, optimize)
-                if optimize is not None else None
-            )
-            # With --optimize, a replay needs BOTH cached outcomes —
-            # the optimization mutates the program, so it cannot be
-            # recomputed from a replayed analysis.
-            if payload is not None and (
-                optimize is None or opt_payload is not None
-            ):
-                outcome.config = payload["config"]
-                outcome.constants_report = payload["constants_report"]
-                outcome.total_pairs = payload["total_pairs"]
-                outcome.substituted = payload["substituted"]
-                outcome.per_procedure = dict(payload["per_procedure"])
-                outcome.replayed = True
-                if opt_payload is not None:
-                    outcome.opt_report = opt_payload["report"]
-                    outcome.opt_changes = (
-                        opt_payload["opt"]["total_changes"]
-                    )
-                if explain:
-                    outcome.invalidation = (
-                        engine.replayed_report(path).to_dict()
-                    )
-                return outcome
-
-        try:
-            result, diagnostics = analyze_file_resilient(
-                path, config, engine=engine
-            )
-        except FrontendError as err:
-            outcome.status = ERROR
-            outcome.error = str(err)
-            return outcome
-        if result is None:
-            outcome.status = DIAGNOSTICS
-            outcome.diagnostics = diagnostics.format()
-            return outcome
-        outcome.config = config.describe()
-        outcome.constants_report = result.constants.format_report()
-        outcome.total_pairs = result.constants.total_pairs()
-        outcome.substituted = result.substituted_constants
-        outcome.per_procedure = dict(result.substitution.per_procedure)
-        if len(diagnostics):
-            outcome.diagnostics = diagnostics.format()
-        engine.record_run(text, config, result)
-        if optimize is not None:
-            from repro.opt import optimize_result
-
-            opt_report = optimize_result(result, tuple(optimize))
-            outcome.opt_report = opt_report.render()
-            outcome.opt_changes = opt_report.total_changes
-            engine.record_opt(text, config, optimize, result, opt_report)
-        report = engine.finish_incremental(path)
-        if report is not None:
-            outcome.invalidation = report.to_dict()
+        passes = tuple(optimize) if optimize is not None else None
+        outcome = pipeline.run(
+            pipeline.Request(config, path=path, passes=passes), engine
+        )
+        if not explain:
+            outcome.invalidation = None
         return outcome
     except Exception as err:  # noqa: BLE001 — a worker must not die on
         outcome.status = ERROR  # one bad input; the batch reports it

@@ -27,6 +27,16 @@ from typing import Dict, Iterator, List, Optional
 BOTTOM_KIND = "bottom"
 
 
+def summarize_demotions(rendered: List[str]) -> str:
+    """The multi-line degraded-components report for rendered
+    demotions (empty string when there are none)."""
+    if not rendered:
+        return ""
+    lines = [f"{len(rendered)} component(s) degraded:"]
+    lines.extend(f"  - {line}" for line in rendered)
+    return "\n".join(lines)
+
+
 @dataclass(frozen=True)
 class Demotion:
     """One component that was degraded instead of aborting the run.
@@ -97,11 +107,7 @@ class ResilienceReport:
 
     def summary(self) -> str:
         """Human-readable multi-line report (empty string when ok)."""
-        if self.ok:
-            return ""
-        lines = [f"{len(self.demotions)} component(s) degraded:"]
-        lines.extend(f"  - {d.render()}" for d in self.demotions)
-        return "\n".join(lines)
+        return summarize_demotions([d.render() for d in self.demotions])
 
     def __len__(self) -> int:
         return len(self.demotions)

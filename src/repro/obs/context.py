@@ -15,10 +15,6 @@ connection-handler threads) from reading a sibling's context.
 ``threading.local`` survives fork for the forking thread itself, so a
 dispatcher that calls :func:`set_context` covers both layers for its
 children.
-
-Nothing is inherited across a *spawn* (or any pickled) process
-boundary; :meth:`RequestContext.ids` / :func:`from_ids` are the wire
-form for shipping the ids explicitly.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from __future__ import annotations
 import threading
 import zlib
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 
 class RequestContext:
@@ -42,10 +38,6 @@ class RequestContext:
     def __init__(self, request_id: str, trace_id: Optional[str] = None):
         self.request_id = request_id
         self.trace_id = trace_id if trace_id is not None else request_id
-
-    def ids(self) -> Tuple[str, str]:
-        """The picklable wire form (pairs with :func:`from_ids`)."""
-        return (self.request_id, self.trace_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -78,19 +70,6 @@ def current() -> Optional[RequestContext]:
     if context is not None:
         return context
     return _GLOBAL
-
-
-def current_ids() -> Optional[Tuple[str, str]]:
-    """``(request_id, trace_id)`` of the current context, or None —
-    the wire form for a process boundary."""
-    context = current()
-    return context.ids() if context is not None else None
-
-
-def from_ids(ids: Optional[Tuple[str, str]]) -> Optional[RequestContext]:
-    if ids is None:
-        return None
-    return RequestContext(ids[0], ids[1])
 
 
 def clear() -> None:

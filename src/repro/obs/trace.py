@@ -118,14 +118,6 @@ class Tracer:
 
     # -- worker shipping -----------------------------------------------------
 
-    def event_count(self) -> int:
-        return len(self.events)
-
-    def events_since(self, marker: int) -> List[Dict[str, Any]]:
-        """Events appended after ``marker`` (a prior
-        :meth:`event_count`) — what a pool worker ships back."""
-        return self.events[marker:]
-
     def adopt(self, events: List[Dict[str, Any]]) -> None:
         """Fold worker events in verbatim: the child's pid/tid are kept
         so each worker renders as its own Perfetto track."""

@@ -41,11 +41,12 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro import faults
+from repro import faults, pipeline
 from repro.config import AnalysisConfig
 from repro.engine.core import Engine
+from repro.frontend.errors import FrontendError
 from repro.obs import context as obs_context
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
@@ -58,11 +59,6 @@ from repro.serve.lifecycle import Cancelled, Deadline, DeadlineExpired, Ticket
 EXIT_OK = 0
 EXIT_SIGINT = 130
 EXIT_SIGTERM = 143
-
-#: Analysis-outcome statuses inside a successful response.
-STATUS_OK = "ok"
-STATUS_DIAGNOSTICS = "diagnostics"
-STATUS_ERROR = "error"
 
 #: Counter-name prefixes surfaced by the ``status`` op.
 _STATUS_COUNTER_PREFIXES = (
@@ -613,30 +609,19 @@ class ReproServer:
     def _dispatch_op(self, request, deadline):
         """Returns ``(result, degraded_notes)`` for a successful
         response; raises for request-level failures."""
-        project = request.params.get("project")
-        entry = request.params.get("entry")
         if request.op == "analyze":
-            explain = request.params.get("explain")
-            if project is not None:
-                return self._op_analyze_project(
-                    list(project), entry, deadline, explain
-                )
-            return self._op_analyze(request.path, deadline, explain)
+            return self._op_analyze(
+                request, deadline, request.params.get("explain")
+            )
         if request.op == "explain":
             cell = request.params.get("cell")
             if not isinstance(cell, str) or not cell:
                 raise protocol.ProtocolError(
                     "op 'explain' requires params.cell (NAME@PROC)"
                 )
-            if project is not None:
-                return self._op_analyze_project(
-                    list(project), entry, deadline, cell
-                )
-            return self._op_analyze(request.path, deadline, cell)
+            return self._op_analyze(request, deadline, cell)
         if request.op == "invalidate":
-            if project is not None:
-                return self._op_invalidate_project(list(project), entry), []
-            return self._op_invalidate(request.path), []
+            return self._op_invalidate(request), []
         if request.op == "status":
             return self._op_status(), []
         if request.op == "obs":
@@ -646,312 +631,97 @@ class ReproServer:
             return {"stopping": True}, []
         raise protocol.ProtocolError(f"unhandled op {request.op!r}")
 
+    def _pipeline_request(self, request, explain: Optional[str] = None):
+        """The pipeline request for a file (``path``) or a linked
+        project (``params.project``/``params.entry``). The run cache is
+        keyed on a project's injective bundle text and its manifest on
+        the synthetic project label, so a daemon alternating between a
+        project and its member files never mixes their entries."""
+        project = request.params.get("project")
+        return pipeline.Request(
+            self.config.analysis,
+            path=request.path,
+            project=list(project) if project is not None else None,
+            entry=request.params.get("entry"),
+            explain=explain,
+        )
+
+    @staticmethod
+    def _subject(pipe_request) -> Dict[str, object]:
+        """How a response names what it analyzed."""
+        if pipe_request.project is None:
+            return {"path": pipe_request.path}
+        return {"project": pipe_request.project, "entry": pipe_request.entry}
+
     # -- op: analyze / explain -----------------------------------------------
 
-    def _op_analyze(
-        self,
-        path: str,
-        deadline: Deadline,
-        explain: Optional[str] = None,
-    ):
-        """The core serving path: replay-or-analyze ``path`` against
-        the shared engine, mirroring ``repro batch``'s per-file unit
-        but with deadline checkpoints and degradation notes.
+    def _op_analyze(self, request, deadline: Deadline,
+                    explain: Optional[str] = None):
+        """The core serving path: one :func:`repro.pipeline.run` against
+        the shared engine, for a file or a linked project, with deadline
+        and drain checkpoints and degradation notes.
 
         Per-request counter isolation follows the batch protocol:
         snapshot the process registry, attribute only the delta — the
         ``recomputed_ret``/``recomputed_fwd`` counters in the response
         are how clients (and the robustness tests) verify that a warm
-        re-analysis touched exactly the dirty set."""
-        from repro.frontend.errors import FrontendError
-        from repro.ipcp.driver import analyze_file_resilient
-
-        config = self.config.analysis
-        # The dispatcher pushes a metrics scope per request, so the
-        # *dynamic* registry holds exactly this request's counters —
-        # concurrent handler-thread activity (sheds, bad frames) lands
-        # in the global registry and can never pollute this delta.
+        re-analysis touched exactly the dirty set. The dispatcher
+        pushes a metrics scope per request, so the *dynamic* registry
+        holds exactly this request's counters — concurrent
+        handler-thread activity (sheds, bad frames) lands in the global
+        registry and can never pollute this delta."""
         registry = obs_metrics.default_registry()
         snapshot = registry.snapshot()
-        result_payload: Dict[str, object] = {
-            "path": path,
-            "status": STATUS_OK,
-            "replayed": False,
-        }
-        degraded: List[str] = []
+        pipe_request = self._pipeline_request(request, explain)
 
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as err:
-            result_payload["status"] = STATUS_ERROR
-            result_payload["error"] = str(err)
-            result_payload["metrics"] = {}
-            return result_payload, degraded
-
-        payload = self.engine.cached_run(text, config, explain is not None)
-        if payload is not None and self._payload_serves(payload, explain):
-            obs_metrics.inc("serve_replayed")
-            result_payload.update(
-                config=payload["config"],
-                constants_report=payload["constants_report"],
-                total_pairs=payload["total_pairs"],
-                substituted=payload["substituted"],
-                per_procedure=dict(payload["per_procedure"]),
-                replayed=True,
-                invalidation=self.engine.replayed_report(path).to_dict(),
-            )
-            if explain is not None:
-                self._render_explain_from_payload(
-                    payload, explain, result_payload
-                )
-        else:
+        def checkpoint() -> None:
             deadline.check("analysis")
-            self.engine.checkpoint = lambda: (
-                deadline.check("analysis"),
-                self._drain_check(),
-            )
-            try:
-                result, diagnostics = analyze_file_resilient(
-                    path, config, engine=self.engine
-                )
-            except FrontendError as err:
-                result_payload["status"] = STATUS_ERROR
-                result_payload["error"] = str(err)
-                result_payload["metrics"] = {}
-                return result_payload, degraded
-            finally:
-                self.engine.checkpoint = None
-            if result is None:
-                result_payload["status"] = STATUS_DIAGNOSTICS
-                result_payload["diagnostics"] = diagnostics.format()
-            else:
-                result_payload.update(
-                    config=config.describe(),
-                    constants_report=result.constants.format_report(),
-                    total_pairs=result.constants.total_pairs(),
-                    substituted=result.substituted_constants,
-                    per_procedure=dict(result.substitution.per_procedure),
-                )
-                if len(diagnostics):
-                    result_payload["diagnostics"] = diagnostics.format()
-                provenance = None
-                if explain is not None:
-                    provenance = self._render_explain_live(
-                        result, explain, result_payload
-                    )
-                self.engine.record_run(text, config, result, provenance)
-                report = self.engine.finish_incremental(path)
-                if report is not None:
-                    result_payload["invalidation"] = report.to_dict()
-                if not result.resilience.ok:
-                    degraded.extend(
-                        demotion.render() for demotion in result.resilience
-                    )
-        delta = registry.delta_since(snapshot)
-        result_payload["metrics"] = delta["counters"]
-        return result_payload, degraded
+            self._drain_check()
 
-    def _op_analyze_project(
-        self,
-        project: List[str],
-        entry: Optional[str],
-        deadline: Deadline,
-        explain: Optional[str] = None,
-    ):
-        """Project-manifest variant of :meth:`_op_analyze`: link the
-        manifest's files into one whole program (:mod:`repro.linkage`)
-        and serve it through the same replay-or-analyze engine path.
-        The run cache is keyed on the injective project bundle text and
-        the incremental manifest on the synthetic project label, so a
-        daemon alternating between a project and its member files never
-        mixes their cache entries."""
-        from repro.linkage import (
-            analyze_linked_sources,
-            project_bundle_text,
-            project_label,
-        )
-
-        entry_name = entry if isinstance(entry, str) else None
-        registry = obs_metrics.default_registry()  # scoped per request
-        snapshot = registry.snapshot()
-        result_payload: Dict[str, object] = {
-            "project": list(project),
-            "entry": entry_name,
-            "status": STATUS_OK,
-            "replayed": False,
-        }
-        degraded: List[str] = []
-
-        named = []
-        for path in project:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    named.append((path, handle.read()))
-            except (OSError, UnicodeDecodeError) as err:
-                result_payload["status"] = STATUS_ERROR
-                result_payload["error"] = str(err)
-                result_payload["metrics"] = {}
-                return result_payload, degraded
-        bundle = project_bundle_text(named, entry_name)
-        label = project_label(project, entry_name)
-
-        payload = self.engine.cached_run(
-            bundle, self.config.analysis, explain is not None
-        )
-        if payload is not None and self._payload_serves(payload, explain):
+        outcome = pipeline.run(pipe_request, self.engine, checkpoint)
+        result = self._subject(pipe_request)
+        result.update(status=outcome.status, replayed=outcome.replayed)
+        if outcome.status == pipeline.ERROR:
+            result.update(error=outcome.error, metrics={})
+            return result, []
+        if outcome.replayed:
             obs_metrics.inc("serve_replayed")
-            result_payload.update(
-                config=payload["config"],
-                constants_report=payload["constants_report"],
-                total_pairs=payload["total_pairs"],
-                substituted=payload["substituted"],
-                per_procedure=dict(payload["per_procedure"]),
-                replayed=True,
-                invalidation=self.engine.replayed_report(label).to_dict(),
-            )
-            if explain is not None:
-                self._render_explain_from_payload(
-                    payload, explain, result_payload
-                )
+        if outcome.status == pipeline.DIAGNOSTICS:
+            result["diagnostics"] = outcome.diagnostics
         else:
-            deadline.check("analysis")
-            self.engine.checkpoint = lambda: (
-                deadline.check("analysis"),
-                self._drain_check(),
+            result.update(
+                config=outcome.config,
+                constants_report=outcome.constants_report,
+                total_pairs=outcome.total_pairs,
+                substituted=outcome.substituted,
+                per_procedure=outcome.per_procedure,
             )
-            try:
-                result, link = analyze_linked_sources(
-                    named,
-                    self.config.analysis,
-                    entry=entry_name,
-                    engine=self.engine,
-                )
-            finally:
-                self.engine.checkpoint = None
-            if result is None:
-                result_payload["status"] = STATUS_DIAGNOSTICS
-                result_payload["diagnostics"] = link.diagnostics.format()
-            else:
-                result_payload.update(
-                    config=self.config.analysis.describe(),
-                    constants_report=result.constants.format_report(),
-                    total_pairs=result.constants.total_pairs(),
-                    substituted=result.substituted_constants,
-                    per_procedure=dict(result.substitution.per_procedure),
-                )
-                if len(link.diagnostics):
-                    result_payload["diagnostics"] = link.diagnostics.format()
-                provenance = None
-                if explain is not None:
-                    provenance = self._render_explain_live(
-                        result, explain, result_payload
-                    )
-                self.engine.record_run(
-                    bundle, self.config.analysis, result, provenance
-                )
-                report = self.engine.finish_incremental(label)
-                if report is not None:
-                    result_payload["invalidation"] = report.to_dict()
-                if not result.resilience.ok:
-                    degraded.extend(
-                        demotion.render() for demotion in result.resilience
-                    )
-        delta = registry.delta_since(snapshot)
-        result_payload["metrics"] = delta["counters"]
-        return result_payload, degraded
-
-    @staticmethod
-    def _payload_serves(payload: dict, explain: Optional[str]) -> bool:
-        """A replayed run can serve an ``explain`` only when its
-        provenance rendering was recorded; otherwise fall through to a
-        live analysis rather than silently dropping the section."""
-        if explain is None:
-            return True
-        from repro.obs.provenance import ConstantProvenance
-
-        return (
-            ConstantProvenance.from_payload(payload.get("provenance"))
-            is not None
-        )
-
-    @staticmethod
-    def _render_explain_from_payload(
-        payload: dict, cell: str, result_payload: dict
-    ) -> None:
-        from repro.obs.provenance import ConstantProvenance
-
-        provenance = ConstantProvenance.from_payload(payload["provenance"])
-        try:
-            result_payload["explain"] = provenance.explain(cell)
-        except ValueError as err:
-            result_payload["explain_error"] = str(err)
-
-    @staticmethod
-    def _render_explain_live(result, cell: str, result_payload: dict):
-        """Explain ``cell`` from a live run; returns the provenance it
-        built so the run is recorded without building it again."""
-        from repro.obs.provenance import build_provenance
-
-        provenance = build_provenance(result)
-        try:
-            result_payload["explain"] = provenance.explain(cell)
-        except ValueError as err:
-            result_payload["explain_error"] = str(err)
-        return provenance
+            for key in ("diagnostics", "explain", "explain_error",
+                        "invalidation"):
+                if getattr(outcome, key):
+                    result[key] = getattr(outcome, key)
+        result["metrics"] = registry.delta_since(snapshot)["counters"]
+        return result, outcome.degraded
 
     # -- op: invalidate ------------------------------------------------------
 
-    def _op_invalidate(self, path: str) -> dict:
-        """Evict the whole-run replay entry (and its provenance) for
-        ``path``'s *current* content, forcing the next ``analyze``
-        through the engine (where the summary cache + manifest diff
-        recompute exactly the dirty set — for an unchanged file,
-        nothing)."""
+    def _op_invalidate(self, request) -> dict:
+        """Evict the whole-run replay entry (and its provenance) keyed
+        on the *current* content of a file or a project's files,
+        forcing the next ``analyze`` through the engine (where the
+        summary cache + manifest diff recompute exactly the dirty set —
+        for an unchanged file, nothing)."""
         obs_metrics.inc("serve_invalidations")
-        result: Dict[str, object] = {"path": path, "invalidated": False}
+        pipe_request = self._pipeline_request(request)
+        result = self._subject(pipe_request)
+        result["invalidated"] = False
         if self.engine.cache is None:
             result["error"] = "server runs without a cache"
             return result
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as err:
-            result["error"] = str(err)
-            return result
-        result["invalidated"] = self.engine.forget_run(
-            text, self.config.analysis
-        )
-        return result
-
-    def _op_invalidate_project(
-        self, project: List[str], entry: Optional[str]
-    ) -> dict:
-        """Project variant of :meth:`_op_invalidate`: evict the replay
-        entry keyed on the manifest's *current* bundle text."""
-        from repro.linkage import project_bundle_text
-
-        obs_metrics.inc("serve_invalidations")
-        entry_name = entry if isinstance(entry, str) else None
-        result: Dict[str, object] = {
-            "project": list(project),
-            "entry": entry_name,
-            "invalidated": False,
-        }
-        if self.engine.cache is None:
-            result["error"] = "server runs without a cache"
-            return result
-        named = []
-        for path in project:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    named.append((path, handle.read()))
-            except (OSError, UnicodeDecodeError) as err:
-                result["error"] = str(err)
-                return result
-        result["invalidated"] = self.engine.forget_run(
-            project_bundle_text(named, entry_name), self.config.analysis
-        )
+            result["invalidated"] = pipeline.forget(pipe_request, self.engine)
+        except FrontendError as err:
+            result["error"] = str(err.__cause__)
         return result
 
     # -- op: obs (live SLO telemetry) ----------------------------------------

@@ -85,15 +85,33 @@ class TestLinkCommand:
         assert "CONSTANTS(s) = {n=1}" in out
 
     def test_replay_round_trip(self, project, tmp_path, capsys):
+        from repro.obs import metrics
+
         cache = str(tmp_path / "cache")
         assert main(["link", *project, "--cache-dir", cache]) == 0
-        first = capsys.readouterr().out
-        assert "linked 2 file(s)" in first
+        cold = capsys.readouterr().out
+        assert "linked 2 file(s) -> 2 procedure(s)" in cold
+        hits = metrics.value("run_cache_hits")
         assert main(["link", *project, "--cache-dir", cache]) == 0
+        # The warm run replays the recorded payload and prints exactly
+        # what the cold run printed, the linked-files line included.
+        assert metrics.value("run_cache_hits") == hits + 1
+        assert capsys.readouterr().out == cold
+
+    def test_symbols_replay_round_trip(self, project, tmp_path, capsys):
+        """The symbol table is not recorded, so ``--symbols`` runs live
+        against a warm cache and prints the same bytes."""
+        cache = str(tmp_path / "cache")
+        argv = ["link", *project, "--cache-dir", cache, "--symbols"]
+        assert main(["link", *project, "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
         second = capsys.readouterr().out
-        # The replayed run serves the recorded payload (no live link).
-        assert "linked 2 file(s)" not in second
-        assert "CONSTANTS(work) = {base=40, n=100, scale=2}" in second
+        assert "--- symbol table ---" in first
+        assert "/shared/" in first
+        assert second == first
 
 
 class TestBatchLink:

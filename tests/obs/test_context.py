@@ -1,11 +1,11 @@
-"""Correlation context: global/thread layering, wire form, flow ids."""
+"""Correlation context: global/thread layering, flow ids."""
 
 import threading
 
 import pytest
 
 from repro.obs import context
-from repro.obs.context import RequestContext, flow_id, from_ids
+from repro.obs.context import RequestContext, flow_id
 
 
 @pytest.fixture(autouse=True)
@@ -23,12 +23,6 @@ class TestRequestContext:
     def test_explicit_trace_id(self):
         ctx = RequestContext("r000001", "s-42")
         assert (ctx.request_id, ctx.trace_id) == ("r000001", "s-42")
-
-    def test_wire_round_trip(self):
-        ctx = RequestContext("r1", "t1")
-        assert from_ids(ctx.ids()).ids() == ("r1", "t1")
-        assert from_ids(None) is None
-        assert context.current_ids() is None
 
 
 class TestLayering:

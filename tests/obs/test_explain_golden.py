@@ -164,14 +164,12 @@ class TestColdWarmByteIdentity:
     ):
         """A run cached by a version that stored no provenance must not
         serve --explain; the CLI re-analyzes instead."""
-        from repro.cli import _payload_serves
+        from repro.config import AnalysisConfig
+        from repro.pipeline import Request, serves
 
-        class Args:
-            dump_ir = False
-            stats = False
-            explain = "g1@bar"
-
-        assert _payload_serves({"provenance": None}, Args()) is False
-        assert _payload_serves({}, Args()) is False
-        Args.explain = None
-        assert _payload_serves({}, Args()) is True
+        request = Request(AnalysisConfig(), path=tri_file,
+                          explain="g1@bar", renders=frozenset())
+        assert serves(request, {"provenance": None}) is False
+        assert serves(request, {}) is False
+        request.explain = None
+        assert serves(request, {}) is True

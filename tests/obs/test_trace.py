@@ -86,14 +86,6 @@ class TestEvents:
 
 
 class TestWorkerShipping:
-    def test_events_since_marker(self):
-        tracer = Tracer()
-        tracer.instant("before")
-        marker = tracer.event_count()
-        tracer.instant("after")
-        shipped = tracer.events_since(marker)
-        assert [event["name"] for event in shipped] == ["after"]
-
     def test_adopt_keeps_worker_pid(self):
         parent = Tracer()
         parent.adopt([{"name": "w", "ph": "i", "s": "t", "ts": 1,

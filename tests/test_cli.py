@@ -104,14 +104,13 @@ class TestEngineFlags:
         """A payload recorded by a plain run (v2 always records the
         renderings, so simulate a degraded one) falls through to a live
         analysis instead of dropping the section."""
-        from repro.cli import _payload_serves
+        from repro.config import AnalysisConfig
+        from repro.pipeline import Request, serves
 
-        class Args:
-            dump_ir = True
-            stats = False
-
-        assert not _payload_serves({"ir": None}, Args)
-        assert _payload_serves({"ir": "text", "stats": None}, Args)
+        request = Request(AnalysisConfig(), path=program_file,
+                          renders=frozenset({"ir"}))
+        assert not serves(request, {"ir": None})
+        assert serves(request, {"ir": "text", "stats": None})
 
     def test_explain_invalidation_cold_warm_edited(
         self, program_file, tmp_path, capsys
