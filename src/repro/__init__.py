@@ -23,25 +23,25 @@ Quick start::
     )
 """
 
-from repro.config import (
-    AnalysisBudget,
-    AnalysisConfig,
-    BudgetExceeded,
-    JumpFunctionKind,
-)
-from repro.diagnostics import Diagnostic, DiagnosticEngine, Severity
-from repro.frontend.parser import parse_file, parse_source
-from repro.ipcp.driver import (
-    AnalysisResult,
-    analyze_file,
-    analyze_file_resilient,
-    analyze_program,
-    analyze_source,
-    analyze_source_resilient,
-)
-from repro.ipcp.resilience import Demotion, ResilienceReport
-from repro.ir.verify import VerificationError, verify_procedure, verify_program
-from repro.lattice import BOTTOM, TOP, LatticeValue, const, meet_all
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config": (
+        "AnalysisBudget", "AnalysisConfig", "BudgetExceeded",
+        "JumpFunctionKind",
+    ),
+    "repro.diagnostics": ("Diagnostic", "DiagnosticEngine", "Severity"),
+    "repro.frontend.parser": ("parse_file", "parse_source"),
+    "repro.ipcp.driver": (
+        "AnalysisResult", "analyze_file", "analyze_file_resilient",
+        "analyze_program", "analyze_source", "analyze_source_resilient",
+    ),
+    "repro.ipcp.resilience": ("Demotion", "ResilienceReport"),
+    "repro.ir.verify": (
+        "VerificationError", "verify_procedure", "verify_program",
+    ),
+    "repro.lattice": ("BOTTOM", "TOP", "LatticeValue", "const", "meet_all"),
+})
 
 __version__ = "1.0.0"
 

@@ -6,13 +6,17 @@ These are the substrates the jump-function implementations are built on
 for global value numbering" over SSA, §3).
 """
 
-from repro.analysis.dominance import DominatorTree, compute_dominator_tree
-from repro.analysis.dce import eliminate_dead_code
-from repro.analysis.sccp import LatticeCell, SCCPResult, run_sccp
-from repro.analysis.loops import analyze_loops, find_natural_loops
-from repro.analysis.ssa import construct_ssa, verify_ssa
-from repro.analysis.ssa_out import destruct_program, destruct_ssa
-from repro.analysis.value_numbering import ValueNumbering, number_values
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.dominance": ("DominatorTree", "compute_dominator_tree"),
+    "repro.analysis.dce": ("eliminate_dead_code",),
+    "repro.analysis.sccp": ("LatticeCell", "SCCPResult", "run_sccp"),
+    "repro.analysis.loops": ("analyze_loops", "find_natural_loops"),
+    "repro.analysis.ssa": ("construct_ssa", "verify_ssa"),
+    "repro.analysis.ssa_out": ("destruct_program", "destruct_ssa"),
+    "repro.analysis.value_numbering": ("ValueNumbering", "number_values"),
+})
 
 __all__ = [
     "DominatorTree",

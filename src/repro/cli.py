@@ -40,7 +40,6 @@ from typing import List, Optional
 from repro.config import AnalysisBudget, AnalysisConfig, BudgetExceeded, JumpFunctionKind
 from repro.frontend.errors import FrontendError
 from repro.ipcp.driver import analyze_file
-from repro.ir.verify import VerificationError
 
 #: Exit codes (``analyze`` subcommand): 0 = clean analysis, 1 = source
 #: diagnostics were reported, 2 = internal failure (IR verification,
@@ -996,6 +995,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.engine.incremental import format_invalidation
 
     config = _config_from_args(args)
+    if config.complete:
+        # The driver imports complete propagation on first use; load it
+        # (and its dead-code elimination) before the pool forks, so no
+        # worker compiles it again. The rest of the analysis path is
+        # already loaded.
+        import repro.ipcp.complete  # noqa: F401
     opt_passes = None
     if getattr(args, "optimize", False) and not getattr(args, "link", False):
         from repro.opt import parse_passes
@@ -1622,6 +1627,15 @@ def _cmd_oracle_opt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verification_error():
+    """The verifier's ``VerificationError``, or ``()`` (matches nothing)
+    when no verifier was loaded: only a request that ran the verifier
+    can raise one, so a plain request never imports it. An ``except``
+    clause evaluates this only once an exception reaches it."""
+    verify = sys.modules.get("repro.ir.verify")
+    return () if verify is None else verify.VerificationError
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -1650,7 +1664,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BudgetExceeded as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
-    except VerificationError as err:
+    except _verification_error() as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -9,37 +9,22 @@ READ (the source of unknowable values).
 The public entry points are :func:`parse_source` and :func:`parse_file`.
 """
 
-from repro.frontend.ast import (
-    ArrayRef,
-    Assign,
-    BinaryOp,
-    CallStmt,
-    CommonDecl,
-    Compare,
-    DimensionDecl,
-    DoStmt,
-    FunctionCall,
-    GotoStmt,
-    IfStmt,
-    IntegerDecl,
-    IntLiteral,
-    LogicalOp,
-    Module,
-    ParameterDecl,
-    PrintStmt,
-    ProcedureKind,
-    ProcedureUnit,
-    ReadStmt,
-    ReturnStmt,
-    StopStmt,
-    UnaryOp,
-    VarRef,
-)
-from repro.frontend.errors import FrontendError, LexError, ParseError
-from repro.frontend.lexer import Lexer, tokenize
-from repro.frontend.parser import Parser, parse_file, parse_source
-from repro.frontend.source import SourceFile, SourceLocation
-from repro.frontend.tokens import Token, TokenKind
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.frontend.ast": (
+        "ArrayRef", "Assign", "BinaryOp", "CallStmt", "CommonDecl",
+        "Compare", "DimensionDecl", "DoStmt", "FunctionCall", "GotoStmt",
+        "IfStmt", "IntegerDecl", "IntLiteral", "LogicalOp", "Module",
+        "ParameterDecl", "PrintStmt", "ProcedureKind", "ProcedureUnit",
+        "ReadStmt", "ReturnStmt", "StopStmt", "UnaryOp", "VarRef",
+    ),
+    "repro.frontend.errors": ("FrontendError", "LexError", "ParseError"),
+    "repro.frontend.lexer": ("Lexer", "tokenize"),
+    "repro.frontend.parser": ("Parser", "parse_file", "parse_source"),
+    "repro.frontend.source": ("SourceFile", "SourceLocation"),
+    "repro.frontend.tokens": ("Token", "TokenKind"),
+})
 
 __all__ = [
     "ArrayRef",

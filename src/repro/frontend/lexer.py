@@ -12,11 +12,17 @@ fixed-column card format:
 
 Identifiers and keywords are case-insensitive; identifier tokens carry
 their lower-cased spelling in ``value``.
+
+The lexer is table-driven: one compiled regular expression (``_TOKEN``)
+matches the blanks before a token and the token itself, and the number
+of the alternative that matched picks the token kind, so each token
+costs one match instead of a Python-level loop over its characters.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, TYPE_CHECKING
+import re
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.frontend.errors import LexError
 from repro.frontend.source import SourceFile, SourceLocation
@@ -24,6 +30,29 @@ from repro.frontend.tokens import DOTTED_OPERATORS, KEYWORDS, Token, TokenKind
 
 if TYPE_CHECKING:
     from repro.diagnostics import DiagnosticEngine
+
+#: Blanks, then one token. The number of the group that matched says
+#: what the token is; the group numbers are the ``_INT`` ... constants
+#: below. ``\d`` is a Unicode decimal digit (category Nd), exactly the
+#: digits ``int()`` accepts; ``\w`` is a character for which
+#: ``str.isalnum()`` holds, or ``_``. Blanks are spaces and tabs only,
+#: and the error alternative excludes them, so the engine never
+#: backtracks into the blanks to report one as an unexpected character.
+_TOKEN = re.compile(
+    r"[ \t]*(?:"
+    r"(\d+)"  # 1: integer literal, or label at statement start
+    r"|([A-Za-z_]\w*)"  # 2: identifier or keyword
+    r"|([(),+\-*/=])"  # 3: one-character operator
+    r"|(\.(?:[Ee][Qq]|[Nn][Ee]|[Ll][TtEe]|[Gg][TtEe]"
+    r"|[Aa][Nn][Dd]|[Oo][Rr]|[Nn][Oo][Tt])\.)"  # 4: dotted operator
+    r"|('[^']*')"  # 5: string literal
+    r"|(!)"  # 6: inline comment: the rest of the line is ignored
+    r"|('.*)"  # 7: unterminated string literal: the rest of the line
+    r"|([^\W\d]\w*)"  # 8: identifier, if its first character is a letter
+    r"|([^ \t])"  # 9: unexpected character
+    r")"
+)
+_INT, _NAME, _PUNCT, _DOTTED, _STRING, _COMMENT, _OPEN, _UNAME = range(1, 9)
 
 _SINGLE_CHAR_TOKENS = {
     "(": TokenKind.LPAREN,
@@ -80,93 +109,73 @@ class Lexer:
     def tokens(self) -> List[Token]:
         """Tokenize the whole file, ending with a single EOF token."""
         result: List[Token] = []
-        line_count = len(self.source.lines)
-        for line_number, line in enumerate(self.source.lines, start=1):
-            if _is_comment_line(line):
-                continue
-            line_tokens = list(self._lex_line(line, line_number))
-            if line_tokens:
-                result.extend(line_tokens)
-                result.append(
-                    Token(
-                        TokenKind.NEWLINE,
-                        "\n",
-                        self.source.location(line_number, len(line) + 1),
-                    )
-                )
-        result.append(
-            Token(TokenKind.EOF, "", self.source.location(line_count + 1, 1))
-        )
+        lines = self.source.lines
+        for line_number, line in enumerate(lines, start=1):
+            if not _is_comment_line(line):
+                self._lex_line(line, line_number, result)
+        result.append(Token(
+            TokenKind.EOF, "",
+            SourceLocation(self.source.name, len(lines) + 1, 1),
+        ))
         return result
 
-    def _lex_line(self, line: str, line_number: int) -> Iterator[Token]:
+    def _lex_line(self, line: str, line_number: int,
+                  result: List[Token]) -> None:
+        """Append the tokens of one line to ``result``, then its NEWLINE
+        if the line produced any token."""
+        filename = self.source.name
+        match = _TOKEN.match
+        keywords = KEYWORDS
+        ident = TokenKind.IDENT
+        before = len(result)
         pos = 0
-        length = len(line)
-        at_statement_start = True
-        while pos < length:
-            char = line[pos]
-            if char in (" ", "\t"):
-                pos += 1
-                continue
-            if char == "!":
-                return  # inline comment: rest of line ignored
-            location = self.source.location(line_number, pos + 1)
-            if char.isdigit():
-                end = pos
-                while end < length and line[end].isdigit():
-                    end += 1
-                text = line[pos:end]
-                kind = TokenKind.LABEL if at_statement_start else TokenKind.INT_LITERAL
-                yield Token(kind, text, location, int(text))
-                pos = end
-                at_statement_start = False
-                continue
-            at_statement_start = False
-            if char == "." and self._looks_like_dotted_operator(line, pos):
-                end = line.index(".", pos + 1) + 1
-                spelled = line[pos:end].lower()
-                yield Token(DOTTED_OPERATORS[spelled], line[pos:end], location)
-                pos = end
-                continue
-            if char.isalpha() or char == "_":
-                end = pos
-                while end < length and (line[end].isalnum() or line[end] == "_"):
-                    end += 1
-                text = line[pos:end]
+        at_start = True  # a digit string that starts a line is a label
+        while True:
+            found = match(line, pos)
+            if found is None:
+                break  # end of line, or nothing but blanks left
+            group = found.lastindex
+            text = found[group]
+            pos = found.end()
+            start = pos - len(text)
+            location = SourceLocation(filename, line_number, start + 1)
+            if group == _NAME or group == _UNAME and text[0].isalpha():
                 lowered = text.lower()
-                kind = KEYWORDS.get(lowered, TokenKind.IDENT)
-                yield Token(kind, text, location, lowered)
-                pos = end
-                continue
-            if char == "'":
-                end = line.find("'", pos + 1)
-                if end < 0:
-                    self._lex_error("unterminated string literal", location)
-                    # Recovery: treat the rest of the line as the string.
-                    yield Token(
-                        TokenKind.STRING, line[pos:], location, line[pos + 1 :]
-                    )
-                    return
-                yield Token(
-                    TokenKind.STRING, line[pos : end + 1], location, line[pos + 1 : end]
+                result.append(Token(
+                    keywords.get(lowered, ident), text, location, lowered
+                ))
+            elif group == _PUNCT:
+                result.append(Token(_SINGLE_CHAR_TOKENS[text], text, location))
+            elif group == _INT:
+                kind = TokenKind.LABEL if at_start else TokenKind.INT_LITERAL
+                result.append(Token(kind, text, location, int(text)))
+            elif group == _DOTTED:
+                result.append(
+                    Token(DOTTED_OPERATORS[text.lower()], text, location)
                 )
-                pos = end + 1
-                continue
-            if char in _SINGLE_CHAR_TOKENS:
-                yield Token(_SINGLE_CHAR_TOKENS[char], char, location)
-                pos += 1
-                continue
-            self._lex_error(f"unexpected character {char!r}", location)
-            pos += 1  # recovery: skip the offending character
-
-    @staticmethod
-    def _looks_like_dotted_operator(line: str, pos: int) -> bool:
-        """True when the text at ``pos`` spells one of ``.EQ.`` etc."""
-        close = line.find(".", pos + 1)
-        if close < 0:
-            return False
-        spelled = line[pos : close + 1].lower()
-        return spelled in DOTTED_OPERATORS
+            elif group == _STRING:
+                result.append(
+                    Token(TokenKind.STRING, text, location, text[1:-1])
+                )
+            elif group == _COMMENT:
+                break
+            elif group == _OPEN:
+                self._lex_error("unterminated string literal", location)
+                # Recovery: treat the rest of the line as the string.
+                result.append(Token(TokenKind.STRING, text, location, text[1:]))
+            else:
+                # A character no token starts with, including a digit
+                # int() rejects (superscripts, circled numbers).
+                self._lex_error(
+                    f"unexpected character {text[0]!r}", location
+                )
+                pos = start + 1  # recovery: skip just that character
+            at_start = False
+        if len(result) > before:
+            result.append(Token(
+                TokenKind.NEWLINE, "\n",
+                SourceLocation(filename, line_number, len(line) + 1),
+            ))
 
 
 def tokenize(text: str, filename: str = "<string>") -> List[Token]:

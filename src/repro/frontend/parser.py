@@ -80,13 +80,17 @@ class Parser:
         self._unit_errors = 0
 
     # -- token helpers ----------------------------------------------------
+    #
+    # The stream ends with its EOF token, a sentinel the parser never
+    # advances past, so the current token always exists. ``_peek(1)`` is
+    # only asked for after the current token was seen to be something
+    # other than EOF, so the next one exists too.
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def _at(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._tokens[self._pos].kind is kind
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]

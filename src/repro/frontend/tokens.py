@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.frontend.source import SourceLocation
@@ -120,18 +119,47 @@ DOTTED_OPERATORS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
 class Token:
     """A single lexical token.
 
     ``value`` holds the integer value for INT_LITERAL / LABEL tokens and
-    the (lower-cased) spelling for identifiers and strings.
+    the (lower-cased) spelling for identifiers and strings. A slotted
+    class with a plain ``__init__``, like :class:`SourceLocation`, since
+    the lexer builds one per token; treat instances as immutable.
     """
 
-    kind: TokenKind
-    text: str
-    location: SourceLocation
-    value: Optional[object] = None
+    __slots__ = ("kind", "text", "location", "value")
+
+    def __init__(
+        self,
+        kind: TokenKind,
+        text: str,
+        location: SourceLocation,
+        value: Optional[object] = None,
+    ):
+        self.kind = kind
+        self.text = text
+        self.location = location
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.kind is other.kind
+            and self.text == other.text
+            and self.location == other.location
+            and self.value == other.value
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.text, self.location, self.value))
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(kind={self.kind!r}, text={self.text!r}, "
+            f"location={self.location!r}, value={self.value!r})"
+        )
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})"

@@ -17,16 +17,27 @@ The pipeline (§4.1) has four stages, each a module here:
 :mod:`repro.ipcp.cloning` the procedure-cloning extension.
 """
 
-from repro.ipcp.binding_graph import BindingMultiGraph, propagate_binding_graph
-from repro.ipcp.cloning import CloningReport, clone_for_constants
-from repro.ipcp.constants import ConstantsResult
-from repro.ipcp.driver import AnalysisResult, analyze_program, analyze_source
-from repro.ipcp.jump_functions import ForwardJumpFunction, JumpFunctionTable, build_forward_jump_functions
-from repro.ipcp.return_functions import ReturnFunctionMap, ReturnJumpFunction, build_return_functions
-from repro.ipcp.inlining import IntegrationReport, integrate_and_propagate
-from repro.ipcp.solver import PropagationResult, propagate
-from repro.ipcp.stats import AnalysisStatistics, collect_statistics
-from repro.ipcp.substitution import SubstitutionReport, measure_substitution
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ipcp.binding_graph": (
+        "BindingMultiGraph", "propagate_binding_graph",
+    ),
+    "repro.ipcp.cloning": ("CloningReport", "clone_for_constants"),
+    "repro.ipcp.constants": ("ConstantsResult",),
+    "repro.ipcp.driver": ("AnalysisResult", "analyze_program", "analyze_source"),
+    "repro.ipcp.jump_functions": (
+        "ForwardJumpFunction", "JumpFunctionTable",
+        "build_forward_jump_functions",
+    ),
+    "repro.ipcp.return_functions": (
+        "ReturnFunctionMap", "ReturnJumpFunction", "build_return_functions",
+    ),
+    "repro.ipcp.inlining": ("IntegrationReport", "integrate_and_propagate"),
+    "repro.ipcp.solver": ("PropagationResult", "propagate"),
+    "repro.ipcp.stats": ("AnalysisStatistics", "collect_statistics"),
+    "repro.ipcp.substitution": ("SubstitutionReport", "measure_substitution"),
+})
 
 __all__ = [
     "AnalysisResult",

@@ -9,31 +9,22 @@ printing, and source-level substitution accounting simple while still
 supporting sparse analyses.
 """
 
-from repro.ir.cfg import BasicBlock, ControlFlowGraph
-from repro.ir.instructions import (
-    ArrayLoad,
-    ArrayStore,
-    Assign,
-    BinOp,
-    Call,
-    CallArg,
-    CondBranch,
-    Const,
-    Def,
-    Halt,
-    Instruction,
-    Jump,
-    Phi,
-    Print,
-    Read,
-    Return,
-    UnOp,
-    Use,
-)
-from repro.ir.lowering import LoweringError, lower_module
-from repro.ir.module import CommonBlock, Procedure, Program
-from repro.ir.printer import format_instruction, format_procedure, format_program
-from repro.ir.symbols import SymbolTable, Variable, VarKind
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ir.cfg": ("BasicBlock", "ControlFlowGraph"),
+    "repro.ir.instructions": (
+        "ArrayLoad", "ArrayStore", "Assign", "BinOp", "Call", "CallArg",
+        "CondBranch", "Const", "Def", "Halt", "Instruction", "Jump", "Phi",
+        "Print", "Read", "Return", "UnOp", "Use",
+    ),
+    "repro.ir.lowering": ("LoweringError", "lower_module"),
+    "repro.ir.module": ("CommonBlock", "Procedure", "Program"),
+    "repro.ir.printer": (
+        "format_instruction", "format_procedure", "format_program",
+    ),
+    "repro.ir.symbols": ("SymbolTable", "Variable", "VarKind"),
+})
 
 __all__ = [
     "ArrayLoad",

@@ -34,8 +34,12 @@ See ``docs/OBSERVABILITY.md`` for the event taxonomy and output
 formats.
 """
 
-from repro.obs import context, log, metrics, timeline, trace
-from repro.obs.provenance import ConstantProvenance, build_provenance
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs": ("context", "log", "metrics", "timeline", "trace"),
+    "repro.obs.provenance": ("ConstantProvenance", "build_provenance"),
+})
 
 __all__ = [
     "ConstantProvenance",

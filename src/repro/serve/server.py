@@ -610,9 +610,14 @@ class ReproServer:
         """Returns ``(result, degraded_notes)`` for a successful
         response; raises for request-level failures."""
         if request.op == "analyze":
-            return self._op_analyze(
-                request, deadline, request.params.get("explain")
-            )
+            explain = request.params.get("explain")
+            if explain is not None and (
+                not isinstance(explain, str) or not explain
+            ):
+                raise protocol.ProtocolError(
+                    "params.explain must name a cell (NAME@PROC)"
+                )
+            return self._op_analyze(request, deadline, explain)
         if request.op == "explain":
             cell = request.params.get("cell")
             if not isinstance(cell, str) or not cell:

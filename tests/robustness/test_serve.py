@@ -358,6 +358,24 @@ class TestServeProtocolEdges:
             server.request_stop()
             server.finish()
 
+    @pytest.mark.parametrize("explain", [123, ["x"], ""])
+    def test_analyze_explain_must_name_a_cell(self, workdir, explain):
+        """``params.explain`` that is not a NAME@PROC string is the
+        client's fault (``bad_request``), as ``params.cell`` is for the
+        ``explain`` op, not an ``internal`` crash in the explainer."""
+        server = make_server(workdir)
+        try:
+            with ReproClient(server.config.socket_path) as client:
+                with pytest.raises(ServeRequestError) as caught:
+                    client.analyze(str(workdir / "prog.f"), explain=explain)
+                assert caught.value.code == "bad_request"
+                assert "params.explain" in str(caught.value)
+                # The connection survives: a good request still works.
+                assert client.analyze(str(workdir / "prog.f"))["ok"]
+        finally:
+            server.request_stop()
+            server.finish()
+
     def test_unreadable_file_is_analysis_level_error(self, workdir):
         server = make_server(workdir)
         try:

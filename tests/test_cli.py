@@ -1,5 +1,9 @@
 """Command-line interface tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -375,6 +379,33 @@ class TestAnalyzeExitCodes:
     def test_exit_1_missing_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.f")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra,rendered",
+        [([], "error[E001]"), (["--strict"], "error")],
+        ids=["default", "strict"],
+    )
+    def test_exit_1_digit_int_rejects(self, tmp_path, extra, rendered):
+        """``2²``: ``str.isdigit()`` accepts ``²`` but ``int()`` does
+        not. The lexer reports it as a located unexpected character, in
+        a fresh ``repro analyze`` process, never a traceback."""
+        path = tmp_path / "digit.f"
+        path.write_text(
+            "      PROGRAM MAIN\n      X = 2\u00b2\n      END\n",
+            encoding="utf-8",
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=(
+            os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", str(path), *extra],
+            capture_output=True, encoding="utf-8", env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert f"{path}:2:12: {rendered}: unexpected character '\u00b2'" \
+            in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestOracleCommand:

@@ -277,16 +277,23 @@ def test_optimize_explains_invalidation_like_analyze(sources, tmp_path,
 #: pays every import on every op.
 HEAVY = ("repro.engine", "repro.opt", "repro.serve", "repro.oracle",
          "repro.suite", "repro.linkage")
+#: Modules of the analysis packages that ``import repro.cli`` and a plain
+#: ``analyze``/``link`` never call, so must not load either: without
+#: bytecode caching, every module loaded is compiled again in every
+#: process.
+UNCALLED = frozenset({
+    "repro.obs.provenance", "repro.obs.log", "repro.obs.context",
+    "repro.ir.verify", "repro.ir.clone", "repro.ipcp.binding_graph",
+    "repro.ipcp.cloning", "repro.ipcp.inlining", "repro.ipcp.stats",
+    "repro.analysis.loops", "repro.analysis.ssa_out", "repro.analysis.dce",
+})
+#: Packages whose ``__init__`` resolves its public names lazily.
+LAZY_PACKAGES = ("repro", "repro.analysis", "repro.frontend", "repro.ipcp",
+                 "repro.ir", "repro.obs")
 
 
-def _imported(argv) -> set:
-    code = (
-        "import sys\n"
-        "from repro.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        "print(' '.join(sorted(m for m in sys.modules "
-        "if m.startswith('repro'))))\n"
-    )
+def _fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this checkout."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -294,12 +301,56 @@ def _imported(argv) -> set:
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=env, check=True,
     )
-    return set(done.stdout.strip().splitlines()[-1].split())
+    return done.stdout
+
+
+def _imported(argv=None) -> set:
+    """The ``repro`` modules loaded by ``import repro.cli`` and, given
+    ``argv``, one ``main(argv)`` request."""
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        + (f"assert main({argv!r}) == 0\n" if argv is not None else "")
+        + "print(' '.join(sorted(m for m in sys.modules "
+        "if m.startswith('repro'))))\n"
+    )
+    return set(_fresh(code).strip().splitlines()[-1].split())
 
 
 def test_plain_requests_import_no_heavy_subsystem(sources):
+    assert not _imported() & UNCALLED
     analyze = _imported(["analyze", sources["tri"]])
     assert not {m for m in analyze if m.startswith(HEAVY)}
+    assert not analyze & UNCALLED
     link = _imported(["link", sources["main"], sources["work"]])
     added = link - analyze
     assert added and all(m.startswith("repro.linkage") for m in added)
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_package_exports_resolve(package):
+    """In a fresh interpreter, ``dir(package)`` lists every name in its
+    ``__all__`` before any is read, and each resolves to the object its
+    defining module holds (a submodule to the module itself): some
+    module other than the package binds the name to that object."""
+    code = (
+        "import importlib, sys, types\n"
+        f"package = importlib.import_module({package!r})\n"
+        "own = set(vars(package))\n"
+        "missing = set(package.__all__) - set(dir(package))\n"
+        "assert not missing, missing\n"
+        "for name in package.__all__:\n"
+        "    value = getattr(package, name)\n"
+        "    if name in own:\n"
+        "        continue\n"
+        "    if isinstance(value, types.ModuleType):\n"
+        "        assert value is sys.modules[package.__name__ + '.' + name]\n"
+        "        continue\n"
+        "    assert any(\n"
+        "        vars(module).get(name) is value\n"
+        "        for key, module in list(sys.modules.items())\n"
+        "        if key.startswith('repro.') and module is not package\n"
+        "    ), name\n"
+        "print(len(package.__all__))\n"
+    )
+    assert int(_fresh(code)) > 0
