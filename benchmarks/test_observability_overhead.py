@@ -81,7 +81,7 @@ def test_combined_telemetry_overhead(capfd):
     assert log.ENABLED is False and log.active() is None
     log.info("never", field=1)  # no logger -> no record object built
     assert context.current() is None
-    assert timeline.current_observer() is None
+    assert trace.stage("x") is _NULL_SPAN  # no sink pushed either
 
     disabled_seconds, baseline = timed(
         lambda: fingerprint(analyze_source(text, config))
@@ -93,7 +93,7 @@ def test_combined_telemetry_overhead(capfd):
     observer = timeline.RequestTimeline("bench", op="analyze")
     tracer = trace.enable()
     logger = log.enable(stream)
-    timeline.push_observer(observer)
+    trace.push_sink(observer)
     try:
         with context.request("bench"):
             log.info("request.start", op="analyze")
@@ -103,7 +103,7 @@ def test_combined_telemetry_overhead(capfd):
             observer.finish("ok")
             log.info("request.end", **observer.entry())
     finally:
-        timeline.pop_observer()
+        trace.pop_sink()
         log.disable()
         trace.disable()
     assert telemetered == baseline, (
@@ -123,18 +123,18 @@ def test_combined_telemetry_overhead(capfd):
     )
     null_span_seconds = per_call(lambda: trace.span("never").__enter__())
     log_noop_seconds = per_call(lambda: log.info("never"))
-    observer_probe_seconds = per_call(timeline.current_observer)
+    stage_probe_seconds = per_call(lambda: trace.stage("never").__enter__())
     context_probe_seconds = per_call(context.current)
     worst_site_seconds = max(
         guard_seconds, null_span_seconds, log_noop_seconds
     )
 
     # Every event any layer recorded maps to at most one disabled-path
-    # site; stage sites additionally probe the observer stack and a
-    # logged record at most probes the context. Sum the bound.
+    # site; stage sites additionally probe the sink stack and a logged
+    # record at most probes the context. Sum the bound.
     worst_case_seconds = (
         (trace_sites + log_sites) * worst_site_seconds
-        + stage_sites * observer_probe_seconds
+        + stage_sites * stage_probe_seconds
         + log_sites * context_probe_seconds
     )
     budget_seconds = BUDGET_FRACTION * disabled_seconds
@@ -156,9 +156,7 @@ def test_combined_telemetry_overhead(capfd):
         "guard_nanoseconds": round(guard_seconds * 1e9, 1),
         "null_span_nanoseconds": round(null_span_seconds * 1e9, 1),
         "log_noop_nanoseconds": round(log_noop_seconds * 1e9, 1),
-        "observer_probe_nanoseconds": round(
-            observer_probe_seconds * 1e9, 1
-        ),
+        "stage_probe_nanoseconds": round(stage_probe_seconds * 1e9, 1),
         "context_probe_nanoseconds": round(
             context_probe_seconds * 1e9, 1
         ),

@@ -700,17 +700,25 @@ def _cache_dir_from_args(args: argparse.Namespace) -> Optional[str]:
 
 
 def _engine_from_args(args: argparse.Namespace):
-    """Build an :class:`repro.engine.Engine` when any engine feature is
-    requested; plain serial analysis (None) otherwise, so the default
-    CLI path stays exactly the pre-engine pipeline."""
+    """Build an :class:`repro.engine.Engine` when a cache is requested;
+    plain serial analysis (None) otherwise, so the default CLI path
+    stays exactly the pre-engine pipeline."""
     cache_dir = _cache_dir_from_args(args)
-    if cache_dir is None and args.profile is None:
+    if cache_dir is None:
         return None
     from repro.engine import Engine
+
+    return Engine(cache_dir=cache_dir)
+
+
+def _start_profile(args: argparse.Namespace):
+    """A started :class:`~repro.profiling.PipelineProfile` when
+    ``--profile`` was given, else None."""
+    if getattr(args, "profile", None) is None:
+        return None
     from repro.profiling import PipelineProfile
 
-    profile = PipelineProfile() if args.profile is not None else None
-    return Engine(cache_dir=cache_dir, profile=profile)
+    return PipelineProfile().start()
 
 
 def _write_profile(text: str, destination: str) -> None:
@@ -722,14 +730,6 @@ def _write_profile(text: str, destination: str) -> None:
         with open(destination, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         print(f"[profile written to {destination}]")
-
-
-def _emit_profile(engine, destination: str) -> None:
-    engine.finish_profile()
-    from repro import profiling
-
-    engine.profile.merge_counters(profiling.global_counters())
-    _write_profile(engine.profile.to_json(), destination)
 
 
 def _start_trace(args: argparse.Namespace):
@@ -856,6 +856,7 @@ def _cmd_request(args: argparse.Namespace, files=None) -> int:
     engine = _engine_from_args(args)
     tracer = _start_trace(args)
     logger, context = _start_obs(args, command)
+    profile = _start_profile(args)
     code: Optional[int] = None
     try:
         with trace.span(command, **span_attrs,
@@ -864,9 +865,10 @@ def _cmd_request(args: argparse.Namespace, files=None) -> int:
             code = _run_request(args, files, config, engine)
             return code
     finally:
+        if profile is not None:
+            profile.stop()
+            _write_profile(profile.to_json(), args.profile)
         if engine is not None:
-            if engine.profile is not None:
-                _emit_profile(engine, args.profile)
             engine.close()
         _write_trace(args, tracer)
         _write_metrics(args)
@@ -1512,12 +1514,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         )
     properties = tuple(args.property) if args.property else PROPERTIES
 
-    profile = None
-    if args.profile is not None:
-        from repro.profiling import PipelineProfile
-
-        profile = PipelineProfile()
-
     dots = {"count": 0}
 
     def progress(trial) -> None:
@@ -1527,16 +1523,20 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             sys.stderr.write(f" {dots['count']}/{args.trials}\n")
         sys.stderr.flush()
 
-    report = run_oracle(
-        trials=args.trials,
-        seed=args.seed,
-        generator_config=generator_config,
-        properties=properties,
-        corpus_dir=args.corpus,
-        minimize=not args.no_minimize,
-        progress=progress,
-        profile=profile,
-    )
+    profile = _start_profile(args)
+    try:
+        report = run_oracle(
+            trials=args.trials,
+            seed=args.seed,
+            generator_config=generator_config,
+            properties=properties,
+            corpus_dir=args.corpus,
+            minimize=not args.no_minimize,
+            progress=progress,
+        )
+    finally:
+        if profile is not None:
+            profile.stop()
     sys.stderr.write("\n")
     print(report.summary())
     if profile is not None:

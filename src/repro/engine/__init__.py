@@ -1,5 +1,5 @@
 """The analysis engine: a persistent content-addressed summary cache,
-incremental re-analysis, per-run profiling, and the batch driver.
+incremental re-analysis, and the batch driver.
 
 :class:`~repro.engine.core.Engine` is the only object callers touch; it
 plugs into :func:`repro.ipcp.driver.analyze_prepared` (and the

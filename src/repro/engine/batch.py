@@ -128,7 +128,6 @@ def analyze_one(
     """
     import time
 
-    from repro import profiling
     from repro.engine.core import Engine
     from repro.obs import context as obs_context
     from repro.obs import metrics as obs_metrics
@@ -140,17 +139,18 @@ def analyze_one(
     faults.maybe_kill_worker(stage="batch", path=path)
     faults.delay("delay-file", path=path)
 
-    profile = profiling.PipelineProfile() if want_profile else None
     # Metric isolation: a thread-scoped registry captures exactly this
     # file's instrumentation even when sibling batch threads analyze
     # concurrently (snapshot/delta over the shared registry would
     # attribute their counters to us); the scope is merged back into
     # the enclosing registry on exit, so process totals still add up.
+    # The profile's counters are its delta of that same scope, and its
+    # stages come from this thread's sink stack.
     scoped = want_profile or want_metrics
     if scoped:
         obs_metrics.push_scope()
     registry = obs_metrics.default_registry()
-    counters_base = registry.snapshot() if scoped else None
+    counters_base = registry.snapshot() if want_metrics else None
     # A pool worker (fresh spawn process, or fork child holding the
     # parent's tracer) records into its own tracer and ships the events
     # back; inline and thread-mode calls write straight into the live
@@ -162,7 +162,7 @@ def analyze_one(
             trace.enable()
             owns_tracer = True
     began = time.perf_counter()
-    engine = Engine(cache_dir=cache_dir, profile=profile)
+    engine = Engine(cache_dir=cache_dir)
     outcome = FileOutcome(path=path)
     # Each file is its own correlation unit: telemetry recorded while
     # analyzing it (log records, worker spans) carries a per-file
@@ -181,6 +181,11 @@ def analyze_one(
             "request", "s", obs_context.flow_id(file_ctx.request_id),
             request_id=file_ctx.request_id, path=path,
         )
+    profile = None
+    if want_profile:
+        from repro.profiling import PipelineProfile
+
+        profile = PipelineProfile().start()
     try:
         passes = tuple(optimize) if optimize is not None else None
         outcome = pipeline.run(
@@ -196,21 +201,12 @@ def analyze_one(
     finally:
         file_span.__exit__(None, None, None)
         obs_context.set_thread_context(enclosing_ctx)
+        if want_metrics:
+            registry.observe("batch_file_seconds", time.perf_counter() - began)
+            registry.inc("batch_files")
+            outcome.metrics = registry.delta_since(counters_base)
         if profile is not None:
-            engine.finish_profile()
-        if counters_base is not None:
-            if want_metrics:
-                registry.observe(
-                    "batch_file_seconds", time.perf_counter() - began
-                )
-                registry.inc("batch_files")
-            delta = registry.delta_since(counters_base)
-            if profile is not None:
-                profile.merge_counters(delta["counters"])
-                outcome.profile = profile.to_dict()
-            if want_metrics:
-                outcome.metrics = delta
-        elif profile is not None:
+            profile.stop()
             outcome.profile = profile.to_dict()
         if owns_tracer:
             worker_tracer = trace.disable()

@@ -5,14 +5,10 @@ An :class:`Engine` slots into :func:`repro.ipcp.driver.analyze_prepared`
 and runs the three per-procedure pipeline stages — return jump
 functions, forward jump functions, substitution measurement — in the
 plain driver's own order (the SCCs of the call graph bottom-up, then
-the procedures top-down, then program order), adding
-
-1. a persistent content-addressed summary cache
-   (:mod:`repro.engine.cache`) keyed by Merkle fingerprints
-   (:mod:`repro.engine.fingerprint`), so unchanged procedures are never
-   re-analyzed across runs;
-2. timing and counting into a
-   :class:`~repro.profiling.PipelineProfile` (``--profile``).
+the procedures top-down, then program order), adding a persistent
+content-addressed summary cache (:mod:`repro.engine.cache`) keyed by
+Merkle fingerprints (:mod:`repro.engine.fingerprint`), so unchanged
+procedures are never re-analyzed across runs.
 
 A summary is encoded (:mod:`repro.engine.summaries`) only to be stored
 in the cache, and decoded only when read from it: a hit decodes into
@@ -38,24 +34,21 @@ from repro.engine.fingerprint import _sha
 from repro.ir.module import Program
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
-from repro.profiling import PipelineProfile
 
 
 class Engine:
     """One engine instance drives one or more analysis runs, sharing
-    its cache and profile across them. With no cache it does the plain
-    driver's work (``--profile`` alone)."""
+    its cache across them. With no cache it does the plain driver's
+    work."""
 
     def __init__(
         self,
         cache_dir: Optional[str] = None,
         cache: Optional[SummaryCache] = None,
-        profile: Optional[PipelineProfile] = None,
     ):
         if cache is None and cache_dir is not None:
             cache = SummaryCache(cache_dir)
         self.cache = cache
-        self.profile = profile
         #: Optional cooperative-cancellation hook: called between SCCs
         #: and between procedures; raising aborts the run (the daemon
         #: sets this to its per-request deadline check).
@@ -114,7 +107,7 @@ class Engine:
         self._config = config
         self._callgraph = callgraph
         if self._keys is None:
-            with self.maybe_stage("fingerprint"):
+            with trace.stage("fingerprint"):
                 if self.cache is not None:
                     self._index = fingerprint.summary_index(
                         program, callgraph, config
@@ -130,21 +123,6 @@ class Engine:
     def _check(self) -> None:
         if self.checkpoint is not None:
             self.checkpoint()
-
-    # -- profiling helpers ---------------------------------------------------
-
-    def maybe_stage(self, name: str):
-        from repro.profiling import maybe_stage
-
-        return maybe_stage(self.profile, name)
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        # The process-wide metrics registry is the single sink
-        # (``--metrics`` works without ``--profile``); profiles absorb
-        # these counts once, via a registry delta (batch) or a
-        # global-counters merge at emission time (CLI analyze) —
-        # counting into the profile here as well would double them.
-        obs_metrics.inc(name, amount)
 
     # -- stage: return jump functions ----------------------------------------
 
@@ -263,7 +241,7 @@ class Engine:
             key = self._substitution_key(name, constants_payload)
             cached = self.cache.get("sub", key) if key is not None else None
             if cached is not None:
-                self._count("summary_cache_hits")
+                obs_metrics.inc("summary_cache_hits")
                 summaries.decode_substitution_into(
                     cached["sub"], procedure, report
                 )
@@ -277,7 +255,7 @@ class Engine:
                 fault_isolation=config.fault_isolation,
             )
             if key is not None:
-                self._count("summary_cache_misses")
+                obs_metrics.inc("summary_cache_misses")
                 self.cache.put("sub", key, {
                     "sub": summaries.encode_substitution_of(
                         report, name, first_site
@@ -286,7 +264,7 @@ class Engine:
                         resilience.demotions[mark:]
                     ),
                 })
-                self._count("summary_cache_stores")
+                obs_metrics.inc("summary_cache_stores")
             self._note_recomputed("sub", name)
         return report
 
@@ -294,16 +272,16 @@ class Engine:
 
     def _note_recomputed(self, namespace: str, name: str) -> None:
         self.recomputed[namespace].append(name)
-        self._count(f"recomputed_{namespace}")
+        obs_metrics.inc(f"recomputed_{namespace}")
 
     def _lookup_member(self, namespace: str, name: str) -> Optional[dict]:
         if self.cache is None:
             return None
         data = self.cache.get(namespace, self._keys[name])
         if data is not None:
-            self._count("summary_cache_hits")
+            obs_metrics.inc("summary_cache_hits")
         else:
-            self._count("summary_cache_misses")
+            obs_metrics.inc("summary_cache_misses")
         if trace.ENABLED:
             trace.instant(
                 "cache.hit" if data is not None else "cache.miss",
@@ -328,7 +306,7 @@ class Engine:
 
     def _store_member(self, namespace: str, name: str, data: dict) -> None:
         self.cache.put(namespace, self._keys[name], data)
-        self._count("summary_cache_stores")
+        obs_metrics.inc("summary_cache_stores")
 
     def _substitution_key(
         self, name: str, constants_payload: Optional[dict]
@@ -380,8 +358,8 @@ class Engine:
             key,
             incremental.build_manifest(self._index),
         )
-        self._count("incremental_dirty", len(report.dirty))
-        self._count("incremental_clean", len(report.clean))
+        obs_metrics.inc("incremental_dirty", len(report.dirty))
+        obs_metrics.inc("incremental_clean", len(report.clean))
         if trace.ENABLED and report.dirty:
             trace.instant(
                 "cache.stale", path=path,
@@ -409,9 +387,9 @@ class Engine:
             return None
         payload = self.cache.get("run", fingerprint.run_key(text, config))
         if payload is not None:
-            self._count("run_cache_hits")
+            obs_metrics.inc("run_cache_hits")
         else:
-            self._count("run_cache_misses")
+            obs_metrics.inc("run_cache_misses")
         if trace.ENABLED:
             trace.instant(
                 "run_cache.hit" if payload is not None else "run_cache.miss"
@@ -438,11 +416,12 @@ class Engine:
         renderings every replayable CLI mode needs — the transformed
         source, the ``--stats`` table, and the ``--dump-ir`` text — so a
         warm replay can serve those flags without re-analyzing. The
-        ``--explain`` provenance, most of a run's bytes, goes to its own
-        ``prov`` entry under the same key. Pass ``provenance`` (a
-        :class:`~repro.obs.provenance.ConstantProvenance` of ``result``)
-        when the caller already built it; it must carry no ``used_by``
-        annotations, which only optimized (never recorded) runs add.
+        ``--explain`` provenance, most of a run's bytes, is recorded
+        only for a request that asked for it: pass ``provenance`` (a
+        :class:`~repro.obs.provenance.ConstantProvenance` of ``result``
+        with no ``used_by`` annotations, which only optimized — never
+        recorded — runs add) to write its own ``prov`` entry under the
+        same key.
         """
         if self.cache is None:
             return
@@ -465,15 +444,10 @@ class Engine:
             "ir": self._render_ir(result),
         }
         key = fingerprint.run_key(text, config)
-        provenance_payload = (
-            provenance.to_payload()
-            if provenance is not None
-            else self._render_provenance(result)
-        )
-        if provenance_payload is not None:
-            self.cache.put("prov", key, provenance_payload)
+        if provenance is not None:
+            self.cache.put("prov", key, provenance.to_payload())
         self.cache.put("run", key, payload)
-        self._count("run_cache_stores")
+        obs_metrics.inc("run_cache_stores")
 
     def forget_run(self, text: str, config: AnalysisConfig) -> bool:
         """Evict a recorded run (its ``run`` and ``prov`` entries) — the
@@ -495,9 +469,9 @@ class Engine:
             "opt", fingerprint.opt_key(text, config, passes)
         )
         if payload is not None:
-            self._count("opt_cache_hits")
+            obs_metrics.inc("opt_cache_hits")
         else:
-            self._count("opt_cache_misses")
+            obs_metrics.inc("opt_cache_misses")
         if trace.ENABLED:
             trace.instant(
                 "opt_cache.hit" if payload is not None else "opt_cache.miss"
@@ -526,7 +500,7 @@ class Engine:
         self.cache.put(
             "opt", fingerprint.opt_key(text, config, passes), payload
         )
-        self._count("opt_cache_stores")
+        obs_metrics.inc("opt_cache_stores")
 
     @staticmethod
     def _render_stats(result) -> Optional[str]:
@@ -545,24 +519,3 @@ class Engine:
             return format_program(result.program)
         except Exception:  # noqa: BLE001
             return None
-
-    @staticmethod
-    def _render_provenance(result) -> Optional[dict]:
-        from repro.obs.provenance import build_provenance
-
-        try:
-            return build_provenance(result).to_payload()
-        except Exception:  # noqa: BLE001 — narrows what --explain can
-            return None  # serve from a replay, same as stats/ir
-
-    # -- reporting -----------------------------------------------------------
-
-    def finish_profile(self) -> None:
-        """Fold cache statistics into the profile's counters."""
-        if self.profile is None or self.cache is None:
-            return
-        stats = self.cache.stats
-        self.profile.set_counter("cache_lookups", stats.lookups)
-        self.profile.set_counter("cache_hits", stats.hits)
-        self.profile.set_counter("cache_misses", stats.misses)
-        self.profile.set_counter("cache_stores", stats.stores)

@@ -10,7 +10,7 @@ analysis results are likewise reusable per (source, config) pair —
 
 Both memos are process-local LRU maps keyed by content digests (never
 by object identity), bounded so long generator sweeps cannot grow
-memory without bound, and observable through the profiling counters
+memory without bound, and observable through the metrics counters
 ``parse_memo_hits`` / ``analysis_memo_hits`` (plus the raw ``parses`` /
 ``lowerings`` counters bumped by the frontend itself).
 
@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from repro import profiling
 from repro.engine.fingerprint import config_fingerprint, source_digest
+from repro.obs import metrics
 
 _PARSE_CAPACITY = 128
 _ANALYSIS_CAPACITY = 64
@@ -55,7 +55,7 @@ def parsed_module(text: str, filename: str = "<string>"):
     key = (source_digest(text), filename)
     if key in _parse_memo:
         _parse_memo.move_to_end(key)
-        profiling.bump("parse_memo_hits")
+        metrics.inc("parse_memo_hits")
         return _parse_memo[key]
     from repro.frontend.parser import parse_source
 
@@ -88,7 +88,7 @@ def memoized_analysis(text: str, config=None, filename: str = "<string>"):
     key = (source_digest(text), config_fingerprint(config), filename)
     if key in _analysis_memo:
         _analysis_memo.move_to_end(key)
-        profiling.bump("analysis_memo_hits")
+        metrics.inc("analysis_memo_hits")
         return _analysis_memo[key]
     from repro.ipcp.driver import analyze_program
 
@@ -116,7 +116,7 @@ def memoized_run(text: str, inputs, fuel: int, filename: str = "<string>"):
     cached = _interp_memo.get(key)
     if cached is not None and cached.steps <= fuel:
         _interp_memo.move_to_end(key)
-        profiling.bump("interp_memo_hits")
+        metrics.inc("interp_memo_hits")
         return cached
     from repro.ir.interp import run_program
 

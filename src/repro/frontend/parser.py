@@ -753,9 +753,9 @@ def parse_source(
     (recording them on the engine) instead of raising; check
     ``diagnostics.has_errors`` and per-unit ``is_stub`` flags afterward.
     """
-    from repro import profiling
+    from repro.obs import metrics
 
-    profiling.bump("parses")
+    metrics.inc("parses")
     source = SourceFile(filename, text)
     tokens = Lexer(source, diagnostics).tokens()
     return Parser(tokens, filename, diagnostics).parse_module()

@@ -44,14 +44,8 @@ from repro.ipcp.substitution import (
 )
 from repro.ir.lowering import lower_module
 from repro.ir.module import Program
-from repro.profiling import maybe_stage
+from repro.obs.trace import stage
 from repro.summary.modref import ModRefInfo, annotate_call_effects, compute_modref
-
-
-def _stage(engine, name: str):
-    """Profile stage context: times the block on the engine's profile
-    when an engine with profiling is attached, else a no-op."""
-    return maybe_stage(engine.profile if engine is not None else None, name)
 
 
 @dataclass
@@ -123,7 +117,7 @@ def analyze_prepared(
     """
     resilience = resilience if resilience is not None else ResilienceReport()
     budget = config.budget
-    with _stage(engine, "return_functions"):
+    with stage("return_functions"):
         if not config.use_return_functions:
             return_map = ReturnFunctionMap()
         elif engine is not None:
@@ -140,7 +134,7 @@ def analyze_prepared(
     jump_table: Optional[JumpFunctionTable] = None
     propagation: Optional[PropagationResult] = None
     if config.interprocedural:
-        with _stage(engine, "forward_functions"):
+        with stage("forward_functions"):
             if engine is not None:
                 jump_table = engine.forward_functions(
                     program, callgraph, config, return_map, resilience
@@ -152,7 +146,7 @@ def analyze_prepared(
                     budget=budget, resilience=resilience,
                     fault_isolation=config.fault_isolation,
                 )
-        with _stage(engine, "propagate"):
+        with stage("propagate"):
             propagation = propagate(
                 program, callgraph, jump_table,
                 strategy=config.solver_strategy,
@@ -168,7 +162,7 @@ def analyze_prepared(
     else:
         constants = empty_constants(program)
 
-    with _stage(engine, "substitution"):
+    with stage("substitution"):
         if config.use_return_functions:
             call_model: SCCPCallModel = ReturnFunctionCallModel(
                 program, return_map
@@ -282,7 +276,7 @@ def analyze_program(
     if engine is not None and not config.complete:
         engine.start(program, config)
     _maybe_verify(program, config, ssa=False, stage="lowering")
-    with _stage(engine, "prepare"):
+    with stage("prepare"):
         callgraph, modref = prepare_program(program, config)
     _maybe_verify(program, config, ssa=True, stage="SSA construction")
     if config.complete:
@@ -309,9 +303,9 @@ def analyze_source(
     first lex/parse/semantic problem. Use
     :func:`analyze_source_resilient` for multi-error recovery.
     """
-    with _stage(engine, "parse"):
+    with stage("parse"):
         module = parse_source(text, filename)
-    with _stage(engine, "lower"):
+    with stage("lower"):
         program = lower_module(module, SourceFile(filename, text))
     return analyze_program(program, config, engine=engine)
 
@@ -333,12 +327,12 @@ def analyze_source_resilient(
     or the recovered module fails semantic lowering).
     """
     diag = diagnostics if diagnostics is not None else DiagnosticEngine()
-    with _stage(engine, "parse"):
+    with stage("parse"):
         module = parse_source(text, filename, diag)
     if not module.units:
         return None, diag
     try:
-        with _stage(engine, "lower"):
+        with stage("lower"):
             program = lower_module(module, SourceFile(filename, text))
     except SemanticError as err:
         diag.error(E_SEMANTIC, err.message, err.location)

@@ -66,9 +66,9 @@ def lower_module(module: ast.Module, source: Optional[SourceFile] = None) -> Pro
     callees, argument count/shape mismatches, COMMON layout conflicts,
     assignments to PARAMETER constants, non-literal DO steps).
     """
-    from repro import profiling
+    from repro.obs import metrics
 
-    profiling.bump("lowerings")
+    metrics.inc("lowerings")
     program = Program(source)
     unit_kinds = {unit.name: unit.kind for unit in module.units}
     if len(unit_kinds) != len(module.units):

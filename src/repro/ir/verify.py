@@ -28,12 +28,15 @@ Checks, in order:
   corresponding predecessor);
 - **symbol-table consistency**: every non-temporary variable mentioned
   by an instruction resolves by name to itself in the procedure's
-  symbol table.
+  symbol table — or is one of the program's scalar globals, which
+  call-effect annotation (``annotate_call_effects``) passes through
+  every call and return, so they, their phis and SSA versions reach
+  procedures that never declare them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.dominance import compute_dominator_tree
 from repro.ir.cfg import BasicBlock, ControlFlowGraph
@@ -71,14 +74,21 @@ def verify_program(
     """Verify every procedure of ``program``; raise
     :class:`VerificationError` listing all violations found."""
     issues: List[str] = []
+    scalar_globals = program.scalar_globals()
     for procedure in program:
-        issues.extend(verify_procedure(procedure, ssa=ssa))
+        issues.extend(verify_procedure(procedure, ssa, scalar_globals))
     if issues:
         raise VerificationError(issues, stage)
 
 
-def verify_procedure(procedure: Procedure, ssa: bool = True) -> List[str]:
-    """Collect invariant violations for one procedure (empty = clean)."""
+def verify_procedure(
+    procedure: Procedure,
+    ssa: bool = True,
+    call_effect_globals: Iterable[Variable] = (),
+) -> List[str]:
+    """Collect invariant violations for one procedure (empty = clean).
+    ``call_effect_globals``: the program's scalar globals, which may
+    appear undeclared (:func:`verify_program` passes them)."""
     issues: List[str] = []
     cfg = procedure.cfg
 
@@ -155,10 +165,11 @@ def verify_procedure(procedure: Procedure, ssa: bool = True) -> List[str]:
                 )
 
     # -- symbol-table consistency ------------------------------------------
+    hidden = set(call_effect_globals)
     for block in cfg.blocks:
         for instruction in block.instructions:
             for variable in _mentioned_variables(instruction):
-                if variable.is_temp:
+                if variable.is_temp or variable in hidden:
                     continue
                 bound = procedure.symbols.lookup(variable.name)
                 if bound is not variable:

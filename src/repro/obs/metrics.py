@@ -1,10 +1,10 @@
 """Metrics registry: named counters, gauges, and histograms.
 
-This replaces the old ``repro.profiling.GLOBAL_COUNTERS`` module dict.
-Instrumentation points that used to ``profiling.bump("parses")`` now
-increment a :class:`Counter` in the process-wide default registry (the
-``profiling`` shims still exist and forward here, so call sites and
-tests did not have to move at once).
+Every instrumentation point counts here: the frontend's ``parses``,
+the lowerer's ``lowerings``, the memo hits, the caches' traffic, the
+daemon's request counters. A ``--profile`` report's counters are the
+registry's delta over the profile's lifetime
+(:class:`repro.profiling.PipelineProfile`).
 
 What the registry adds over a bare dict:
 
@@ -329,8 +329,7 @@ def _format_float(value: float) -> str:
 
 
 #: The process-wide registry every instrumentation point shares —
-#: what ``repro.profiling.bump`` now writes to and ``--metrics``
-#: exports.
+#: what ``--metrics`` exports.
 _DEFAULT = MetricsRegistry()
 
 #: Thread-scoped override (a stack, so scopes nest). When a thread has

@@ -9,16 +9,16 @@ on::
     parse  — frontend stages (parse, lower)
     solve  — IPCP stages (prepare, jump functions, propagate,
              substitution)
-    opt    — optimization pipeline (opt.* passes)
+    opt    — the optimization pipeline (the ``opt`` stage)
     render — everything else inside the request (response encoding,
              cache serialization): total minus the accounted buckets
 
-Raw stage timings come from the same :func:`repro.profiling.maybe_stage`
-chokepoint the profiler uses: the active timeline registers itself as a
-thread-scoped *observer* (:func:`push_observer`), so stage attribution
-is exact even with concurrent requests in flight. Nested stages (the
-``fingerprint`` stage runs inside ``return_functions``) are recorded
-raw but excluded from bucket sums, so buckets never double-count.
+Stage timings come from the one stage recorder,
+:func:`repro.obs.trace.stage`: the daemon pushes the request's timeline
+as a stage sink on its dispatcher thread, so stage attribution is exact
+even with concurrent requests in flight. Nested stages (``fingerprint``
+runs inside ``return_functions``) are recorded raw but left out of the
+bucket sums, so buckets never double-count.
 
 Completed timelines land in a :class:`TimelineRing` — the fixed-size
 time series behind ``repro top`` and the daemon's ``obs`` protocol op.
@@ -39,37 +39,26 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 
-#: Frontend stages (repro.ipcp.driver naming).
-PARSE_STAGES = ("parse", "lower")
-
-#: Solver stages. ``fingerprint`` is deliberately absent: it runs
-#: nested inside ``return_functions`` and would double-count.
-SOLVE_STAGES = (
-    "prepare",
-    "return_functions",
-    "forward_functions",
-    "propagate",
-    "substitution",
-)
+#: The bucket each stage (repro.ipcp.driver naming) adds to.
+_STAGE_BUCKETS = {
+    "parse": "parse", "lower": "parse",
+    "prepare": "solve", "return_functions": "solve",
+    "forward_functions": "solve", "propagate": "solve",
+    "substitution": "solve",
+    "opt": "opt",
+}
 
 #: The buckets a breakdown reports, in render order.
 BUCKETS = ("queue", "parse", "solve", "opt", "render")
 
 
 def classify_stage(name: str) -> Optional[str]:
-    """Bucket for a raw stage name, or None for stages that are part
-    of an already-counted enclosing stage (``fingerprint``) or unknown."""
-    if name in PARSE_STAGES:
-        return "parse"
-    if name in SOLVE_STAGES:
-        return "solve"
-    if name == "opt" or name.startswith("opt."):
-        return "opt"
-    return None
+    """Bucket for a stage name, or None for a stage no bucket reports."""
+    return _STAGE_BUCKETS.get(name)
 
 
 class RequestTimeline:
-    """Stage accounting for one request (also the stage observer)."""
+    """Stage accounting for one request (also its stage sink)."""
 
     __slots__ = (
         "request_id",
@@ -82,6 +71,7 @@ class RequestTimeline:
         "total_s",
         "started_at",
         "_start",
+        "_sums",
     )
 
     def __init__(
@@ -101,11 +91,15 @@ class RequestTimeline:
         self.total_s = 0.0
         self.started_at = time.time()
         self._start = time.perf_counter()
+        self._sums = {"parse": 0.0, "solve": 0.0, "opt": 0.0}
 
-    # -- observer protocol (called from profiling.maybe_stage) ---------------
-
-    def record_stage(self, name: str, seconds: float) -> None:
+    def record_stage(self, name: str, seconds: float, nested: bool) -> None:
+        """Sink protocol of :func:`repro.obs.trace.stage`: every stage
+        is kept raw, only outermost ones add to a bucket."""
         self.stages[name] = self.stages.get(name, 0.0) + seconds
+        bucket = None if nested else classify_stage(name)
+        if bucket is not None:
+            self._sums[bucket] += seconds
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -115,13 +109,9 @@ class RequestTimeline:
         self.total_s = time.perf_counter() - self._start
 
     def buckets(self) -> Dict[str, float]:
-        """Bucketed seconds; ``render`` absorbs whatever the raw
-        stages did not account for (never negative)."""
-        sums = {"parse": 0.0, "solve": 0.0, "opt": 0.0}
-        for name, seconds in self.stages.items():
-            bucket = classify_stage(name)
-            if bucket is not None:
-                sums[bucket] += seconds
+        """Bucketed seconds; ``render`` absorbs whatever the stages did
+        not account for (never negative)."""
+        sums = self._sums
         accounted = sums["parse"] + sums["solve"] + sums["opt"]
         return {
             "queue": self.queue_s,
@@ -149,35 +139,6 @@ class RequestTimeline:
             (self.queue_s + self.total_s) * 1000.0, 3
         )
         return record
-
-
-# -- thread-scoped observer stack ---------------------------------------------
-
-_OBSERVERS = threading.local()
-
-
-def push_observer(observer: RequestTimeline) -> None:
-    """Route this thread's stage timings into ``observer`` until the
-    matching :func:`pop_observer` (a stack, so nesting works — e.g. a
-    request that re-enters the engine)."""
-    stack = getattr(_OBSERVERS, "stack", None)
-    if stack is None:
-        stack = _OBSERVERS.stack = []
-    stack.append(observer)
-
-
-def pop_observer() -> RequestTimeline:
-    stack = getattr(_OBSERVERS, "stack", None)
-    if not stack:
-        raise RuntimeError("pop_observer without a matching push_observer")
-    return stack.pop()
-
-
-def current_observer() -> Optional[RequestTimeline]:
-    """The innermost observer of this thread, or None. Checked on the
-    hot stage path, so it must stay one TLS load + a truth test."""
-    stack = getattr(_OBSERVERS, "stack", None)
-    return stack[-1] if stack else None
 
 
 # -- the live time series -----------------------------------------------------

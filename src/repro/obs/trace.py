@@ -1,4 +1,5 @@
-"""Structured tracing: nested spans and typed instant events.
+"""Structured tracing: nested spans, typed instant events, and the one
+recorder of pipeline stages.
 
 Events are stored directly in Chrome trace-event form (plain dicts, so
 they pickle across process-pool boundaries) and export via
@@ -9,6 +10,13 @@ demotion) become ``"ph": "i"`` instants. Timestamps are microseconds
 from ``time.perf_counter_ns() // 1000``, the unit the trace-event
 format specifies.
 
+:func:`stage` is the one timer of a pipeline stage. It hands
+``(name, seconds, nested)`` to every sink on this thread's stack
+(:func:`push_sink`: ``--profile``'s ``PipelineProfile``, the daemon's
+``RequestTimeline``) and, while tracing, writes the ``stage.<name>``
+span from the same clock readings. ``nested`` marks a stage opened
+inside another one (``fingerprint`` inside ``return_functions``).
+
 Zero-cost-when-disabled contract (bench-gated in
 ``benchmarks/test_bench_pipeline.py``):
 
@@ -16,7 +24,8 @@ Zero-cost-when-disabled contract (bench-gated in
   building any attribute dict — ``if trace.ENABLED:
   trace.instant(...)`` costs one global load and a branch;
 - ``span()`` returns the shared :data:`_NULL_SPAN` singleton when
-  disabled — no object allocation per call;
+  disabled — no object allocation per call; so does ``stage()`` when,
+  in addition, no sink is pushed on the calling thread;
 - there is no tracer instance at all until :func:`enable` runs.
 
 Track layout: each OS thread gets its own ``tid`` track; each worker
@@ -237,6 +246,76 @@ def flow(event_name: str, phase: str, flow_id: int, **attrs: Any) -> None:
     tracer = _TRACER
     if tracer is not None:
         tracer.flow(event_name, phase, flow_id, **attrs)
+
+
+# -- pipeline stages ----------------------------------------------------------
+
+
+class _StageState(threading.local):
+    """This thread's stage sinks and how many of its stages are open."""
+
+    def __init__(self) -> None:
+        self.sinks: List[Any] = []
+        self.depth = 0
+
+
+_STAGES = _StageState()
+
+
+def push_sink(sink: Any) -> None:
+    """Hand every stage this thread times to ``sink`` — an object with
+    ``record_stage(name, seconds, nested)`` — until the matching
+    :func:`pop_sink`. Sinks stack, and every sink on the stack sees
+    every stage."""
+    _STAGES.sinks.append(sink)
+
+
+def pop_sink() -> Any:
+    """Remove (and return) this thread's most recently pushed sink."""
+    sinks = _STAGES.sinks
+    if not sinks:
+        raise RuntimeError("pop_sink without a matching push_sink")
+    return sinks.pop()
+
+
+class _Stage:
+    """Live stage: one pair of clock readings feeds the sinks and the
+    ``stage.<name>`` span alike."""
+
+    __slots__ = ("_name", "_start", "_nested")
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __enter__(self) -> "_Stage":
+        state = _STAGES
+        self._nested = state.depth > 0
+        state.depth += 1
+        self._start = _now_us()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        duration = _now_us() - self._start
+        state = _STAGES
+        state.depth -= 1
+        if state.sinks:
+            seconds = duration / 1e6
+            for sink in state.sinks:
+                sink.record_stage(self._name, seconds, self._nested)
+        tracer = _TRACER
+        if tracer is not None:
+            tracer.complete(
+                f"stage.{self._name}", self._start, duration, None
+            )
+
+
+def stage(name: str):
+    """Context manager timing pipeline stage ``name`` (see the module
+    docstring). Returns the shared no-op span when tracing is off and
+    no sink is pushed on this thread."""
+    if not ENABLED and not _STAGES.sinks:
+        return _NULL_SPAN
+    return _Stage(name)
 
 
 @contextmanager

@@ -29,7 +29,6 @@ from repro.ipcp.driver import AnalysisResult, analyze_source
 from repro.ipcp.return_functions import ReturnFunctionCallModel
 from repro.ir.verify import verify_program
 from repro.obs import metrics as obs_metrics
-from repro.obs import timeline
 from repro.obs import trace
 from repro.opt import passes as opt_passes
 from repro.opt.report import OptReport
@@ -82,76 +81,62 @@ def optimize_result(
 ) -> OptReport:
     """Run the pipeline over ``result.program`` (mutating it in place)
     and return the report. On return the program is destructed —
-    executable by the reference interpreter, no longer in SSA form."""
-    observer = timeline.current_observer()
-    if observer is not None:
-        import time
+    executable by the reference interpreter, no longer in SSA form.
+    The whole pipeline is the ``opt`` stage; each pass is an ``opt.*``
+    trace span inside it."""
+    with trace.stage("opt"):
+        program = result.program
+        config = result.config
+        selected = tuple(passes)
+        verify_after = verify or config.verify_ir
+        report = OptReport(passes=list(selected), verified=verify_after)
 
-        begin = time.perf_counter()
-        try:
-            return _optimize_result(result, passes, verify)
-        finally:
-            # Feed the request timeline's "opt" bucket (the daemon's
-            # stage breakdown); pass-level detail stays in trace spans.
-            observer.record_stage("opt", time.perf_counter() - begin)
-    return _optimize_result(result, passes, verify)
-
-
-def _optimize_result(
-    result: AnalysisResult,
-    passes: Iterable[str] = PASS_NAMES,
-    verify: bool = False,
-) -> OptReport:
-    program = result.program
-    config = result.config
-    selected = tuple(passes)
-    verify_after = verify or config.verify_ir
-    report = OptReport(passes=list(selected), verified=verify_after)
-
-    ssa_passes = [name for name in _SSA_STAGE if name in selected]
-    if ssa_passes:
-        sccp_results: Dict[str, SCCPResult] = {}
-        call_model = _call_model(result)
-        with trace.span("opt.sccp"):
-            for procedure in program:
-                entry = result.constants.entry_lattice(procedure)
-                sccp_results[procedure.name] = run_sccp(
-                    procedure, entry, call_model,
-                    config.budget.sccp_visits,
+        ssa_passes = [name for name in _SSA_STAGE if name in selected]
+        if ssa_passes:
+            sccp_results: Dict[str, SCCPResult] = {}
+            call_model = _call_model(result)
+            with trace.span("opt.sccp"):
+                for procedure in program:
+                    entry = result.constants.entry_lattice(procedure)
+                    sccp_results[procedure.name] = run_sccp(
+                        procedure, entry, call_model,
+                        config.budget.sccp_visits,
+                    )
+            for pass_name in ssa_passes:
+                pass_function = getattr(
+                    opt_passes, _SSA_PASS_FUNCTIONS[pass_name]
                 )
-        for pass_name in ssa_passes:
-            pass_function = getattr(opt_passes, _SSA_PASS_FUNCTIONS[pass_name])
-            with trace.span(f"opt.{pass_name}"):
+                with trace.span(f"opt.{pass_name}"):
+                    changes = 0
+                    for procedure in program:
+                        changes += pass_function(
+                            procedure, sccp_results[procedure.name], report
+                        )
+                obs_metrics.inc(f"opt_{pass_name}_changes", changes)
+                if verify_after:
+                    verify_program(program, ssa=True, stage=f"opt:{pass_name}")
+
+        with trace.span("opt.destruct"):
+            report.edge_copies = destruct_program(program)
+            if "branches" in selected:
+                for procedure in program:
+                    opt_passes.cleanup_pass(procedure, "branches", report)
+        if verify_after:
+            verify_program(program, ssa=False, stage="opt:destruct")
+
+        if "unswitch" in selected:
+            with trace.span("opt.unswitch"):
                 changes = 0
                 for procedure in program:
-                    changes += pass_function(
-                        procedure, sccp_results[procedure.name], report
-                    )
-            obs_metrics.inc(f"opt_{pass_name}_changes", changes)
+                    changes += opt_passes.unswitch_loops(procedure, report)
+                    opt_passes.cleanup_pass(procedure, "unswitch", report)
+            obs_metrics.inc("opt_unswitch_changes", changes)
             if verify_after:
-                verify_program(program, ssa=True, stage=f"opt:{pass_name}")
+                verify_program(program, ssa=False, stage="opt:unswitch")
 
-    with trace.span("opt.destruct"):
-        report.edge_copies = destruct_program(program)
-        if "branches" in selected:
-            for procedure in program:
-                opt_passes.cleanup_pass(procedure, "branches", report)
-    if verify_after:
-        verify_program(program, ssa=False, stage="opt:destruct")
-
-    if "unswitch" in selected:
-        with trace.span("opt.unswitch"):
-            changes = 0
-            for procedure in program:
-                changes += opt_passes.unswitch_loops(procedure, report)
-                opt_passes.cleanup_pass(procedure, "unswitch", report)
-        obs_metrics.inc("opt_unswitch_changes", changes)
-        if verify_after:
-            verify_program(program, ssa=False, stage="opt:unswitch")
-
-    obs_metrics.inc("opt_pipeline_runs")
-    obs_metrics.inc("opt_total_changes", report.total_changes)
-    return report
+        obs_metrics.inc("opt_pipeline_runs")
+        obs_metrics.inc("opt_total_changes", report.total_changes)
+        return report
 
 
 def optimize_source(

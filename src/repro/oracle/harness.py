@@ -347,7 +347,6 @@ def run_oracle(
     minimize: bool = True,
     fuel: int = TRIAL_FUEL,
     progress: Optional[Callable[[TrialResult], None]] = None,
-    profile=None,
 ) -> OracleReport:
     """Run ``trials`` seeded trials (seeds ``seed .. seed+trials-1``).
 
@@ -355,25 +354,16 @@ def run_oracle(
     when ``corpus_dir`` is given — written there together with their
     metadata. Deterministic for a fixed (trials, seed, config) triple.
 
-    ``profile`` (a :class:`repro.profiling.PipelineProfile`) times the
-    trial and minimization stages and, on completion, absorbs the
-    campaign's delta of the process-wide metrics registry (memo hits,
-    parse counts) — only this campaign's work, not whatever the process
-    counted before.
+    Trials and minimizations are ``trial``/``minimize`` stages
+    (:func:`repro.obs.trace.stage`; ``oracle --profile`` times them).
     """
+    from repro.obs.trace import stage
     from repro.oracle.corpus import CorpusEntry, write_failure
     from repro.oracle.minimize import minimize_source
-    from repro.profiling import maybe_stage
-
-    counters_base = None
-    if profile is not None:
-        from repro.obs import metrics as obs_metrics
-
-        counters_base = obs_metrics.snapshot()
 
     report = OracleReport()
     for index in range(trials):
-        with maybe_stage(profile, "trial"):
+        with stage("trial"):
             trial = run_trial(seed + index, generator_config, properties, fuel)
         report.trials += 1
         if trial.skipped:
@@ -381,7 +371,7 @@ def run_oracle(
         elif not trial.ok:
             if minimize:
                 first = trial.discrepancies[0]
-                with maybe_stage(profile, "minimize"):
+                with stage("minimize"):
                     report.minimized[trial.seed] = minimize_source(
                         trial.source,
                         lambda text: reproduces(
@@ -402,10 +392,4 @@ def run_oracle(
             report.failures.append(trial)
         if progress is not None:
             progress(trial)
-    if counters_base is not None:
-        from repro.obs import metrics as obs_metrics
-
-        profile.merge_counters(
-            obs_metrics.delta_since(counters_base)["counters"]
-        )
     return report

@@ -174,7 +174,7 @@ def run(request: Request, engine=None, checkpoint=None) -> FileOutcome:
     """Replay or analyze ``request``; see the module docstring.
 
     ``engine`` (an :class:`~repro.engine.core.Engine`) brings the
-    caches and the profile; without one the plain driver runs.
+    caches; without one the plain driver runs.
     ``checkpoint`` (daemon deadlines and drain; needs an engine) is
     called before a live analysis and between the engine's SCCs and
     procedures. Unreadable sources and frontend failures are an

@@ -1,33 +1,20 @@
-"""Pipeline profiling: stage wall-clock timers and work counters.
+"""Pipeline profiling: the ``--profile`` report.
 
-The analysis pipeline has a handful of well-defined stages (parse,
-lower, prepare/SSA, jump-function generation, propagation,
-substitution); :class:`PipelineProfile` accumulates per-stage wall time
-and arbitrary named counters for one run and renders them as JSON (the
-CLI's ``--profile``) or as a table. The engine
-(:mod:`repro.engine`) attaches one profile per run; the benchmark
-``benchmarks/test_bench_pipeline.py`` reads the same numbers into
-``BENCH_PIPELINE.json``.
-
-Process-wide counters for instrumentation points with no profile object
-in reach (the frontend counts parses, the lowerer counts lowerings)
-live in the :mod:`repro.obs.metrics` default registry; the
-:func:`bump` / :func:`counter` / :func:`reset_counters` functions here
-are thin shims over it, kept so existing call sites and tests read the
-same way. The old ``GLOBAL_COUNTERS`` module dict is gone — consumers
-that need isolation snapshot the registry and take deltas instead of
-resetting it (see ``docs/OBSERVABILITY.md``).
+A :class:`PipelineProfile` is a stage sink: while it runs (``start``
+to ``stop``, or a ``with`` block) :func:`repro.obs.trace.stage` hands
+it every pipeline stage the thread times, and its counters are the
+thread's :mod:`repro.obs.metrics` registry delta over the same window.
+It renders as JSON (the CLI's ``--profile``) or as a table; the
+benchmark ``benchmarks/test_bench_pipeline.py`` reads the same numbers
+into ``BENCH_PIPELINE.json``.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.obs import metrics as _metrics
-from repro.obs import timeline as _timeline
 from repro.obs import trace as _trace
 
 #: Version tag of the ``--profile`` JSON shape. 2 = added this field;
@@ -36,44 +23,48 @@ PROFILE_SCHEMA_VERSION = 2
 
 
 class PipelineProfile:
-    """Wall-clock stage timers plus named counters for one analysis run.
+    """Per-stage wall time and calls plus the counters of one window.
 
     Stages may be entered repeatedly (complete propagation re-runs the
     back half); times accumulate and the call count is kept alongside.
+    A nested stage keeps its own seconds and calls, but only outermost
+    stages add to :attr:`total_seconds`.
     """
 
     def __init__(self) -> None:
         self._seconds: Dict[str, float] = {}
         self._calls: Dict[str, int] = {}
+        self._outermost = 0.0
+        self._registry: Optional[_metrics.MetricsRegistry] = None
+        self._base: Optional[dict] = None
         self._counters: Dict[str, int] = {}
-        self._order: List[str] = []
 
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with``-scoped pipeline stage."""
-        begin = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(name, time.perf_counter() - begin)
+    def start(self) -> "PipelineProfile":
+        """Begin the window on this thread: push the profile as a stage
+        sink and snapshot the thread's metrics registry."""
+        self._registry = _metrics.default_registry()
+        self._base = self._registry.snapshot()
+        _trace.push_sink(self)
+        return self
 
-    def add_time(self, name: str, seconds: float) -> None:
-        if name not in self._seconds:
-            self._order.append(name)
-            self._seconds[name] = 0.0
-            self._calls[name] = 0
-        self._seconds[name] += seconds
-        self._calls[name] += 1
+    def stop(self) -> None:
+        """End the window: pop the sink and keep the registry's delta
+        since :meth:`start` as the counters."""
+        _trace.pop_sink()
+        self._counters = self._registry.delta_since(self._base)["counters"]
 
-    def count(self, name: str, amount: int = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + amount
+    def __enter__(self) -> "PipelineProfile":
+        return self.start()
 
-    def set_counter(self, name: str, value: int) -> None:
-        self._counters[name] = value
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
-    def merge_counters(self, counters: Mapping[str, int]) -> None:
-        for name, value in counters.items():
-            self.count(name, value)
+    def record_stage(self, name: str, seconds: float, nested: bool) -> None:
+        """Sink protocol of :func:`repro.obs.trace.stage`."""
+        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
+        self._calls[name] = self._calls.get(name, 0) + 1
+        if not nested:
+            self._outermost += seconds
 
     def seconds(self, name: str) -> float:
         return self._seconds.get(name, 0.0)
@@ -83,7 +74,8 @@ class PipelineProfile:
 
     @property
     def total_seconds(self) -> float:
-        return sum(self._seconds.values())
+        """Seconds spent in outermost stages (nested ones are inside)."""
+        return self._outermost
 
     def to_dict(self) -> dict:
         """JSON-ready report: per-stage seconds/calls plus counters."""
@@ -94,7 +86,7 @@ class PipelineProfile:
                     "seconds": round(self._seconds[name], 6),
                     "calls": self._calls[name],
                 }
-                for name in self._order
+                for name in self._seconds
             },
             "counters": dict(sorted(self._counters.items())),
             "total_seconds": round(self.total_seconds, 6),
@@ -106,7 +98,7 @@ class PipelineProfile:
     def format(self) -> str:
         """Fixed-width table for terminal output."""
         lines = [f"{'stage':<20} {'seconds':>10} {'calls':>6}"]
-        for name in self._order:
+        for name in self._seconds:
             lines.append(
                 f"{name:<20} {self._seconds[name]:>10.4f} {self._calls[name]:>6}"
             )
@@ -145,62 +137,3 @@ def aggregate_profiles(profiles) -> dict:
         "counters": dict(sorted(counters.items())),
         "total_seconds": round(total, 6),
     }
-
-
-# -- process-wide counter shims (over repro.obs.metrics) ----------------------
-#
-# Keys in use: "parses" (frontend parse_source calls), "lowerings"
-# (ir.lowering lower_module calls), and "parse_memo_hits" /
-# "analysis_memo_hits" / "interp_memo_hits" (repro.engine.memo).
-
-
-def bump(name: str, amount: int = 1) -> None:
-    _metrics.inc(name, amount)
-
-
-def counter(name: str) -> int:
-    return _metrics.value(name)
-
-
-def global_counters() -> Dict[str, int]:
-    """Non-zero process-wide counters, as a plain sorted dict."""
-    return _metrics.default_registry().counters()
-
-
-def reset_counters() -> None:
-    _metrics.reset()
-
-
-@contextmanager
-def maybe_stage(profile: Optional[PipelineProfile], name: str) -> Iterator[None]:
-    """``profile.stage(name)`` when a profile is attached, no-op
-    otherwise; either way the stage becomes a trace span when tracing
-    is enabled (so ``--trace`` works without ``--profile``) and feeds
-    the thread's request timeline when one is observing (the daemon's
-    per-request stage breakdown)."""
-    observer = _timeline.current_observer()
-    if observer is None and not _trace.ENABLED:
-        with _stage_inner(profile, name):
-            yield
-        return
-    begin = time.perf_counter() if observer is not None else 0.0
-    try:
-        if _trace.ENABLED:
-            with _trace.span(f"stage.{name}"):
-                with _stage_inner(profile, name):
-                    yield
-        else:
-            with _stage_inner(profile, name):
-                yield
-    finally:
-        if observer is not None:
-            observer.record_stage(name, time.perf_counter() - begin)
-
-
-@contextmanager
-def _stage_inner(profile: Optional[PipelineProfile], name: str) -> Iterator[None]:
-    if profile is None:
-        yield
-    else:
-        with profile.stage(name):
-            yield

@@ -39,7 +39,6 @@ import queue
 import socket
 import sys
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -454,13 +453,12 @@ class ReproServer:
     def _execute(self, ticket: Ticket) -> None:
         request = ticket.request
         queue_s = ticket.queue_seconds()
-        began = time.perf_counter()
         obs_metrics.inc("serve_requests")
         obs_metrics.inc(f"serve_requests_{request.op}")
         self._registry.observe("serve_queue_seconds", queue_s)
         # Request-scoped telemetry bracket: install the request's
-        # correlation context on both layers, observe its pipeline
-        # stages through a timeline, and scope the metrics registry so
+        # correlation context on both layers, record its pipeline
+        # stages into a timeline, and scope the metrics registry so
         # concurrent handler-thread counters (sheds, bad frames) can
         # never leak into this request's per-request delta.
         request_id = ticket.request_id or "r?"
@@ -472,7 +470,7 @@ class ReproServer:
             request_id, op=request.op, path=request.path or "",
             queue_s=queue_s,
         )
-        obs_timeline.push_observer(timeline)
+        trace.push_sink(timeline)
         scoped = obs_metrics.push_scope()
         if obs_log.ENABLED:
             obs_log.info(
@@ -547,12 +545,10 @@ class ReproServer:
                     )
         finally:
             obs_metrics.pop_scope(merge=True)
-            obs_timeline.pop_observer()
+            trace.pop_sink()
             obs_context.set_context(self._server_ctx)
         timeline.finish(status, replayed=replayed)
-        self._registry.observe(
-            "serve_request_seconds", time.perf_counter() - began
-        )
+        self._registry.observe("serve_request_seconds", timeline.total_s)
         self._finish_request_telemetry(timeline, scoped)
         ticket.respond(response)
 

@@ -141,3 +141,48 @@ def test_thread_profiles_attach_per_file(files):
     for outcome in threaded.files:
         assert outcome.profile is not None
         assert outcome.profile["counters"].get("parses", 0) >= 1
+
+
+def test_concurrent_profiles_hold_their_own_stages(files, tmp_path,
+                                                   monkeypatch):
+    """Two files inside their ``propagate`` stage at the same moment:
+    each file's profile holds exactly its own stage calls and counters
+    (the same counters it reports analyzed alone), and its total counts
+    the nested ``fingerprint`` stage once."""
+    from repro.ipcp import driver
+
+    pair = files[:2]
+    both_inside = threading.Barrier(2, timeout=30)
+    original = driver.propagate
+
+    def meet_then_propagate(*args, **kwargs):
+        both_inside.wait()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "propagate", meet_then_propagate)
+    threaded = batch.run_batch(
+        pair, AnalysisConfig(), jobs=2, executor="thread",
+        cache_dir=str(tmp_path / "shared"), want_profile=True,
+    )
+    monkeypatch.setattr(driver, "propagate", original)
+    assert threaded.ok
+
+    def calls(profile):
+        return {name: e["calls"] for name, e in profile["stages"].items()}
+
+    for index, outcome in enumerate(threaded.files):
+        alone = batch.analyze_one(
+            outcome.path, AnalysisConfig(),
+            cache_dir=str(tmp_path / f"alone{index}"), want_profile=True,
+        )
+        assert calls(outcome.profile) == calls(alone.profile)
+        assert set(calls(outcome.profile).values()) == {1}
+        assert outcome.profile["counters"] == alone.profile["counters"]
+        stages = outcome.profile["stages"]
+        outermost = sum(
+            entry["seconds"] for name, entry in stages.items()
+            if name != "fingerprint"
+        )
+        assert outcome.profile["total_seconds"] == pytest.approx(
+            outermost, abs=1e-5
+        )

@@ -11,7 +11,6 @@ from repro.config import AnalysisBudget, AnalysisConfig
 from repro.engine import Engine, fingerprint, summaries
 from repro.engine.cache import SummaryCache
 from repro.ipcp.driver import analyze_source, prepare_program
-from repro.profiling import PipelineProfile
 from repro.suite.generator import GeneratorConfig, generate_case
 from repro.suite.programs import SUITE_PROGRAM_NAMES, program_source
 
@@ -191,7 +190,7 @@ class TestCodecOnlyAtTheCache:
     def test_no_cache_calls_no_codec(self, calls, config):
         text = generate_case(3, GENERATOR).source
         plain = fingerprint_run(text, config)
-        with Engine(profile=PipelineProfile()) as engine:
+        with Engine() as engine:
             assert fingerprint_run(text, config, engine) == plain
         assert calls == {"encode": 0, "decode": 0}
 

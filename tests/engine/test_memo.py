@@ -1,9 +1,9 @@
 """Parse/analysis memoization: hit counters, LRU eviction, and the
 oracle-trial redundancy bound the memo layer was built to enforce."""
 
-from repro import profiling
 from repro.config import AnalysisConfig
 from repro.engine import memo
+from repro.obs import metrics
 
 PROGRAM = "      PROGRAM MAIN\n      X = 1\n      END\n"
 
@@ -15,69 +15,69 @@ def make_program(index):
 class TestParseMemo:
     def test_repeat_parse_hits(self):
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         first = memo.parsed_module(PROGRAM, "a.f")
         second = memo.parsed_module(PROGRAM, "a.f")
         assert second is first
-        assert profiling.counter("parses") == 1
-        assert profiling.counter("parse_memo_hits") == 1
+        assert metrics.value("parses") == 1
+        assert metrics.value("parse_memo_hits") == 1
 
     def test_filename_is_part_of_the_key(self):
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         memo.parsed_module(PROGRAM, "a.f")
         memo.parsed_module(PROGRAM, "b.f")
-        assert profiling.counter("parses") == 2
+        assert metrics.value("parses") == 2
 
     def test_fresh_program_lowers_each_call(self):
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         one = memo.fresh_program(PROGRAM, "a.f")
         two = memo.fresh_program(PROGRAM, "a.f")
         assert one is not two  # distinct lowered programs...
-        assert profiling.counter("parses") == 1  # ...from one parse
-        assert profiling.counter("lowerings") == 2
+        assert metrics.value("parses") == 1  # ...from one parse
+        assert metrics.value("lowerings") == 2
 
     def test_lru_eviction(self):
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         for index in range(memo._PARSE_CAPACITY + 1):
             memo.parsed_module(make_program(index), "a.f")
         assert len(memo._parse_memo) == memo._PARSE_CAPACITY
         # Entry 0 was the least recently used, so it was evicted.
         memo.parsed_module(make_program(0), "a.f")
-        assert profiling.counter("parse_memo_hits") == 0
+        assert metrics.value("parse_memo_hits") == 0
 
 
 class TestAnalysisMemo:
     def test_repeat_analysis_hits(self):
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         first = memo.memoized_analysis(PROGRAM, AnalysisConfig(), "a.f")
         second = memo.memoized_analysis(PROGRAM, AnalysisConfig(), "a.f")
         assert second is first
-        assert profiling.counter("analysis_memo_hits") == 1
-        assert profiling.counter("lowerings") == 1
+        assert metrics.value("analysis_memo_hits") == 1
+        assert metrics.value("lowerings") == 1
 
     def test_config_is_part_of_the_key(self):
         from dataclasses import replace
 
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         memo.memoized_analysis(PROGRAM, AnalysisConfig(), "a.f")
         memo.memoized_analysis(
             PROGRAM, replace(AnalysisConfig(), use_mod=False), "a.f"
         )
-        assert profiling.counter("analysis_memo_hits") == 0
-        assert profiling.counter("lowerings") == 2
+        assert metrics.value("analysis_memo_hits") == 0
+        assert metrics.value("lowerings") == 2
 
     def test_clear_memos(self):
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         memo.memoized_analysis(PROGRAM, AnalysisConfig(), "a.f")
         memo.clear_memos()
         memo.memoized_analysis(PROGRAM, AnalysisConfig(), "a.f")
-        assert profiling.counter("analysis_memo_hits") == 0
+        assert metrics.value("analysis_memo_hits") == 0
 
 
 RUN_PROGRAM = """\
@@ -93,21 +93,21 @@ RUN_PROGRAM = """\
 class TestInterpMemo:
     def test_repeat_execution_hits(self):
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         first = memo.memoized_run(RUN_PROGRAM, (), 1000, "a.f")
         second = memo.memoized_run(RUN_PROGRAM, (), 1000, "a.f")
         assert second is first
         assert first.output == ["5"]
-        assert profiling.counter("interp_memo_hits") == 1
+        assert metrics.value("interp_memo_hits") == 1
 
     def test_larger_fuel_still_hits(self):
         """A recorded trace satisfies any budget covering its steps."""
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         trace = memo.memoized_run(RUN_PROGRAM, (), 1000, "a.f")
         again = memo.memoized_run(RUN_PROGRAM, (), trace.steps, "a.f")
         assert again is trace
-        assert profiling.counter("interp_memo_hits") == 1
+        assert metrics.value("interp_memo_hits") == 1
 
     def test_smaller_fuel_reruns_and_exhausts(self):
         """A budget below the recorded cost must raise exactly as a
@@ -117,11 +117,11 @@ class TestInterpMemo:
         from repro.ir.interp import InterpreterError
 
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         trace = memo.memoized_run(RUN_PROGRAM, (), 1000, "a.f")
         with pytest.raises(InterpreterError):
             memo.memoized_run(RUN_PROGRAM, (), trace.steps - 1, "a.f")
-        assert profiling.counter("interp_memo_hits") == 0
+        assert metrics.value("interp_memo_hits") == 0
 
     def test_inputs_are_part_of_the_key(self):
         program = (
@@ -132,11 +132,11 @@ class TestInterpMemo:
             "      END\n"
         )
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         one = memo.memoized_run(program, (1,), 1000, "a.f")
         two = memo.memoized_run(program, (2,), 1000, "a.f")
         assert one.output == ["1"] and two.output == ["2"]
-        assert profiling.counter("interp_memo_hits") == 0
+        assert metrics.value("interp_memo_hits") == 0
 
     def test_oracle_campaign_reexecution_hits(self):
         """Two identical trials: the second serves every execution from
@@ -166,17 +166,17 @@ class TestOracleTrialRedundancy:
         from repro.oracle.harness import run_trial
 
         memo.clear_memos()
-        profiling.reset_counters()
+        metrics.reset()
         result = run_trial(7)
         assert not result.discrepancies
 
-        parses = profiling.counter("parses")
-        lowerings = profiling.counter("lowerings")
+        parses = metrics.value("parses")
+        lowerings = metrics.value("lowerings")
         # Two texts ever hit the parser: the generated program and its
         # transformed output (checked for idempotence/executability).
         assert parses == 2
         # Each needed (source, config) variant lowers at most once; the
         # trial touches at most 7 variants of the two texts.
         assert lowerings <= 7
-        assert profiling.counter("parse_memo_hits") >= 1
-        assert profiling.counter("analysis_memo_hits") >= 1
+        assert metrics.value("parse_memo_hits") >= 1
+        assert metrics.value("analysis_memo_hits") >= 1

@@ -1,78 +1,83 @@
-"""Profiling layer: stage timers, counters, JSON shape."""
+"""Profiling layer: the stage sink, its registry-delta counters, JSON
+shape."""
 
 import json
 
-from repro import profiling
-from repro.profiling import PipelineProfile, maybe_stage
+from repro.obs import metrics, trace
+from repro.profiling import PipelineProfile
 
 
 class TestPipelineProfile:
     def test_stage_accumulates_time_and_calls(self):
-        profile = PipelineProfile()
-        with profile.stage("parse"):
-            pass
-        with profile.stage("parse"):
-            pass
+        with PipelineProfile() as profile:
+            with trace.stage("parse"):
+                pass
+            with trace.stage("parse"):
+                pass
         assert profile.seconds("parse") >= 0.0
         assert profile.to_dict()["stages"]["parse"]["calls"] == 2
 
-    def test_counters(self):
-        profile = PipelineProfile()
-        profile.count("widgets")
-        profile.count("widgets", 4)
-        profile.set_counter("gadgets", 7)
-        assert profile.counter("widgets") == 5
-        assert profile.counter("gadgets") == 7
-
-    def test_merge_counters(self):
-        profile = PipelineProfile()
-        profile.count("parses", 2)
-        profile.merge_counters({"parses": 3, "lowerings": 1})
-        assert profile.counter("parses") == 5
-        assert profile.counter("lowerings") == 1
-
     def test_json_round_trips(self):
-        profile = PipelineProfile()
-        with profile.stage("solve"):
-            pass
-        profile.count("hits", 3)
+        with PipelineProfile() as profile:
+            with trace.stage("solve"):
+                pass
+            metrics.inc("hits", 3)
         data = json.loads(profile.to_json())
         assert data["counters"]["hits"] == 3
         assert "solve" in data["stages"]
         assert data["total_seconds"] >= 0.0
 
     def test_format_mentions_stages(self):
-        profile = PipelineProfile()
-        with profile.stage("substitution"):
-            pass
+        with PipelineProfile() as profile:
+            with trace.stage("substitution"):
+                pass
         assert "substitution" in profile.format()
 
-    def test_maybe_stage_none_is_noop(self):
-        with maybe_stage(None, "anything"):
+    def test_stage_without_sink_is_noop(self):
+        with trace.stage("anything"):
             pass  # must not raise
 
-    def test_maybe_stage_records(self):
-        profile = PipelineProfile()
-        with maybe_stage(profile, "lower"):
-            pass
+    def test_stage_feeds_pushed_profile(self):
+        profile = PipelineProfile().start()
+        try:
+            with trace.stage("lower"):
+                pass
+        finally:
+            profile.stop()
+        with trace.stage("lower"):
+            pass  # after stop: not recorded
         assert profile.to_dict()["stages"]["lower"]["calls"] == 1
+
+    def test_counters_are_the_registry_delta_of_the_window(self):
+        metrics.inc("widgets", 5)  # before the window: not counted
+        with PipelineProfile() as profile:
+            metrics.inc("widgets", 2)
+            metrics.inc("gadgets")
+        metrics.inc("widgets")  # after the window: not counted
+        assert profile.counter("widgets") == 2
+        assert profile.counter("gadgets") == 1
+
+    def test_total_counts_only_outermost_stages(self):
+        with PipelineProfile() as profile:
+            with trace.stage("return_functions"):
+                with trace.stage("fingerprint"):
+                    pass
+            with trace.stage("propagate"):
+                pass
+        stages = profile.to_dict()["stages"]
+        assert stages["fingerprint"]["calls"] == 1
+        assert profile.total_seconds == (
+            profile.seconds("return_functions") + profile.seconds("propagate")
+        )
 
 
 class TestGlobalCounters:
-    def test_bump_and_reset(self):
-        profiling.reset_counters()
-        profiling.bump("parses")
-        profiling.bump("parses", 2)
-        assert profiling.counter("parses") == 3
-        profiling.reset_counters()
-        assert profiling.counter("parses") == 0
-
     def test_frontend_instruments_parse_and_lower(self):
         from tests.conftest import lower
 
-        profiling.reset_counters()
+        metrics.reset()
         lower(
             "      PROGRAM MAIN\n      X = 1\n      END\n"
         )
-        assert profiling.counter("parses") == 1
-        assert profiling.counter("lowerings") == 1
+        assert metrics.value("parses") == 1
+        assert metrics.value("lowerings") == 1

@@ -13,6 +13,8 @@ from repro.ir.instructions import Assign, Const, Def, Jump, Phi, Use
 from repro.ir.lowering import lower_module
 from repro.ir.symbols import Variable, VarKind
 from repro.ir.verify import VerificationError, verify_procedure, verify_program
+from repro.oracle.golden import golden_programs
+from repro.suite.programs import SUITE_PROGRAM_NAMES
 
 SOURCE = (
     "      PROGRAM MAIN\n"
@@ -253,3 +255,76 @@ class TestSymbolCorruption:
         with pytest.raises(VerificationError) as exc:
             verify_program(program, ssa=True)
         assert len(exc.value.issues) >= 2
+
+
+#: MAIN never declares /S/, but its call to DOWN carries G through the
+#: call's effects (the shape of the ``edge_recursion`` golden program).
+HIDDEN_GLOBAL = (
+    "      PROGRAM MAIN\n"
+    "      CALL DOWN(3)\n"
+    "      END\n"
+    "      SUBROUTINE DOWN(K)\n"
+    "      COMMON /S/ G\n"
+    "      G = K\n"
+    "      IF (K .GT. 0) CALL DOWN(K - 1)\n"
+    "      RETURN\n"
+    "      END\n"
+)
+
+
+class TestCallEffectGlobals:
+    """A COMMON member reaches a procedure that does not declare it only
+    through call effects; the verifier accepts exactly those globals."""
+
+    @staticmethod
+    def annotated():
+        program = lower_module(
+            parse_source(HIDDEN_GLOBAL), SourceFile("h.f", HIDDEN_GLOBAL)
+        )
+        prepare_program(program, AnalysisConfig())
+        return program
+
+    @staticmethod
+    def insert(procedure, variable):
+        """Put ``variable = 1`` at the head of the entry block."""
+        procedure.cfg.entry.instructions.insert(
+            0, Assign(Def(variable), Const(1))
+        )
+
+    def test_undeclared_common_member_verifies_after_ssa(self):
+        program = self.annotated()
+        main = program.main
+        (member,) = program.scalar_globals()
+        assert main.symbols.lookup(member.name) is None
+        assert any(
+            use.var is member
+            for call in main.call_sites() for use in call.entry_uses
+        )
+        verify_program(program, ssa=True, stage="SSA construction")
+
+    def test_call_effect_global_must_be_the_programs_own(self):
+        program = self.annotated()
+        self.insert(program.main, Variable("g", VarKind.GLOBAL))
+        with pytest.raises(VerificationError) as exc:
+            verify_program(program, ssa=False)
+        assert "'g'" in str(exc.value)
+        assert "does not resolve to itself" in str(exc.value)
+
+    def test_another_procedures_local_still_fails(self):
+        program = self.annotated()
+        (formal,) = program.procedure("down").formals
+        self.insert(program.main, formal)
+        with pytest.raises(VerificationError) as exc:
+            verify_program(program, ssa=False)
+        assert "'k'" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"suite_{name}" for name in SUITE_PROGRAM_NAMES] + ["edge_recursion"],
+    )
+    def test_verify_ir_cli_accepts_golden(self, name, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / f"{name}.f"
+        path.write_text(golden_programs()[name].source)
+        assert main(["analyze", str(path), "--verify-ir"]) == 0

@@ -158,18 +158,6 @@ class TestPrometheus:
 
 
 class TestDefaultRegistryShims:
-    def test_profiling_shims_forward_to_registry(self):
-        from repro import profiling
-        from repro.obs import metrics
-
-        profiling.reset_counters()
-        profiling.bump("parses", 2)
-        assert metrics.value("parses") == 2
-        assert profiling.counter("parses") == 2
-        assert profiling.global_counters() == {"parses": 2}
-        profiling.reset_counters()
-        assert metrics.value("parses") == 0
-
     def test_module_level_delta(self):
         from repro.obs import metrics
 

@@ -146,7 +146,9 @@ class TestCachedRunCarriesProvenance:
         try:
             config = AnalysisConfig()
             result = analyze_source(TRI_PROGRAM, config, engine=engine)
-            engine.record_run(TRI_PROGRAM, config, result)
+            engine.record_run(
+                TRI_PROGRAM, config, result, build_provenance(result)
+            )
             payload = engine.cached_provenance(TRI_PROGRAM, config)
             assert payload is not None
             replayed = ConstantProvenance.from_payload(payload)

@@ -116,6 +116,47 @@ class TestTraceCorrelation:
         assert len(file_starts) == 3
 
 
+class TestProfileMatchesTrace:
+    """``--profile`` and ``--trace`` read one stage recorder: the same
+    stages, each timed once."""
+
+    def test_profile_stages_are_the_trace_stage_spans(self, tmp_path,
+                                                      capsys):
+        from repro.suite.generator import ScaleConfig, generate_scaled_program
+
+        source = tmp_path / "scaled.f"
+        source.write_text(
+            generate_scaled_program(0, ScaleConfig(procedures=80))
+        )
+        profile_path = tmp_path / "profile.json"
+        trace_path = tmp_path / "run.trace.json"
+        assert main(["analyze", str(source),
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--profile", str(profile_path),
+                     "--trace", str(trace_path)]) == 0
+        profile = json.loads(profile_path.read_text())
+        stages = profile["stages"]
+        spans = {}
+        for event in json.loads(trace_path.read_text())["traceEvents"]:
+            if event.get("ph") == "X" and event["name"].startswith("stage."):
+                name = event["name"][len("stage."):]
+                spans.setdefault(name, []).append(event["dur"])
+        assert set(stages) == set(spans)
+        assert "fingerprint" in stages  # the engine's, nested
+        for name, entry in stages.items():
+            assert entry["calls"] == len(spans[name])
+            assert abs(entry["seconds"] - sum(spans[name]) / 1e6) <= (
+                1e-6 * entry["calls"]
+            ), name
+        # fingerprint runs inside return_functions: counted once
+        outermost = sum(
+            entry["seconds"] for name, entry in stages.items()
+            if name != "fingerprint"
+        )
+        assert profile["total_seconds"] == pytest.approx(outermost, abs=1e-5)
+        assert stages["fingerprint"]["seconds"] > 1e-5
+
+
 class TestBatchReportPercentiles:
     def test_report_prints_quantile_line(self, tmp_path, capsys):
         paths = []

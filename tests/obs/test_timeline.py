@@ -1,12 +1,11 @@
 """Per-request timelines: stage bucketing, the ring buffer, the
-maybe_stage observer hook, and the offline artifact joiner."""
+stage-sink hook, and the offline artifact joiner."""
 
 import json
 
 import pytest
 
-from repro import profiling
-from repro.obs import timeline
+from repro.obs import timeline, trace
 from repro.obs.timeline import (
     RequestTimeline,
     TimelineRing,
@@ -31,8 +30,8 @@ class TestClassifyStage:
 
     def test_opt_bucket_covers_pass_spans(self):
         assert classify_stage("opt") == "opt"
-        assert classify_stage("opt.sccp") == "opt"
-        assert classify_stage("opt.destruct") == "opt"
+        # the passes are spans inside the opt stage, not stages
+        assert classify_stage("opt.sccp") is None
 
     def test_nested_fingerprint_excluded(self):
         # fingerprint runs inside return_functions; counting it would
@@ -46,11 +45,11 @@ class TestClassifyStage:
 class TestRequestTimeline:
     def test_buckets_sum_and_render_residual(self):
         t = RequestTimeline("r1", op="analyze", path="p.f", queue_s=0.010)
-        t.record_stage("parse", 0.002)
-        t.record_stage("lower", 0.001)
-        t.record_stage("propagate", 0.005)
-        t.record_stage("opt.sccp", 0.004)
-        t.record_stage("fingerprint", 0.100)  # nested: must not count
+        t.record_stage("parse", 0.002, False)
+        t.record_stage("lower", 0.001, False)
+        t.record_stage("propagate", 0.005, False)
+        t.record_stage("opt", 0.004, False)
+        t.record_stage("fingerprint", 0.100, True)  # nested: must not count
         t.finish("ok")
         buckets = t.buckets()
         assert buckets["queue"] == pytest.approx(0.010)
@@ -61,15 +60,22 @@ class TestRequestTimeline:
 
     def test_render_never_negative(self):
         t = RequestTimeline("r1")
-        t.record_stage("parse", 1000.0)  # stage clock > wall clock
+        t.record_stage("parse", 1000.0, False)  # stage clock > wall clock
         t.finish("ok")
         assert t.buckets()["render"] == 0.0
 
     def test_repeated_stage_accumulates(self):
         t = RequestTimeline("r1")
-        t.record_stage("propagate", 0.25)
-        t.record_stage("propagate", 0.25)
+        t.record_stage("propagate", 0.25, False)
+        t.record_stage("propagate", 0.25, False)
         assert t.stages["propagate"] == pytest.approx(0.5)
+
+    def test_nested_stage_kept_raw_but_not_bucketed(self):
+        t = RequestTimeline("r1")
+        t.record_stage("propagate", 0.25, True)
+        assert t.stages["propagate"] == pytest.approx(0.25)
+        t.finish("ok")
+        assert t.buckets()["solve"] == 0.0
 
     def test_entry_shape(self):
         t = RequestTimeline("r9", op="analyze", path="p.f", queue_s=0.001)
@@ -84,37 +90,54 @@ class TestRequestTimeline:
         assert entry["total_ms"] >= entry["queue_ms"]
 
 
-class TestObserverStack:
+class TestSinkStack:
     def test_push_pop_nesting(self):
         outer = RequestTimeline("outer")
         inner = RequestTimeline("inner")
-        timeline.push_observer(outer)
-        timeline.push_observer(inner)
-        assert timeline.current_observer() is inner
-        assert timeline.pop_observer() is inner
-        assert timeline.current_observer() is outer
-        assert timeline.pop_observer() is outer
-        assert timeline.current_observer() is None
+        trace.push_sink(outer)
+        trace.push_sink(inner)
+        with trace.stage("parse"):
+            pass
+        assert trace.pop_sink() is inner
+        with trace.stage("lower"):
+            pass
+        assert trace.pop_sink() is outer
+        assert set(inner.stages) == {"parse"}
+        assert set(outer.stages) == {"parse", "lower"}
 
     def test_pop_without_push_raises(self):
         with pytest.raises(RuntimeError):
-            timeline.pop_observer()
+            trace.pop_sink()
 
-    def test_maybe_stage_feeds_observer(self):
+    def test_stage_feeds_sink(self):
         t = RequestTimeline("r1")
-        timeline.push_observer(t)
+        trace.push_sink(t)
         try:
-            with profiling.maybe_stage(None, "propagate"):
+            with trace.stage("propagate"):
                 pass
         finally:
-            timeline.pop_observer()
+            trace.pop_sink()
         assert "propagate" in t.stages
         assert t.stages["propagate"] >= 0.0
 
-    def test_maybe_stage_without_observer_untouched(self):
-        with profiling.maybe_stage(None, "propagate"):
-            pass
-        assert timeline.current_observer() is None
+    def test_stage_without_sink_is_the_null_span(self):
+        assert trace.stage("propagate") is trace._NULL_SPAN
+
+    def test_nested_flag_reaches_sink(self):
+        seen = []
+
+        class Sink:
+            def record_stage(self, name, seconds, nested):
+                seen.append((name, nested))
+
+        trace.push_sink(Sink())
+        try:
+            with trace.stage("return_functions"):
+                with trace.stage("fingerprint"):
+                    pass
+        finally:
+            trace.pop_sink()
+        assert seen == [("fingerprint", True), ("return_functions", False)]
 
 
 class TestTimelineRing:

@@ -26,37 +26,11 @@ INPUTS = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8)
 
 _SUBSET_IDS = ["+".join(subset) for subset in PASS_SUBSETS]
 
-_BASELINE_VERIFIES = {}
-
-
-def _baseline_verifies(source, config) -> bool:
-    """Whether the *analyzed but unoptimized* program passes the SSA
-    verifier. A handful of suite-builder golden programs violate the
-    verifier's symbol-resolution invariant before any optimization
-    runs; post-pass verification is only meaningful (and only
-    attributable to the optimizer) where the baseline is clean."""
-    key = id(source)
-    cached = _BASELINE_VERIFIES.get(key)
-    if cached is not None:
-        return cached
-    from repro.ipcp.driver import analyze_source
-    from repro.ir.verify import VerificationError, verify_program
-
-    result = analyze_source(source, config, filename="baseline.f")
-    try:
-        verify_program(result.program, ssa=True, stage="baseline")
-        verdict = True
-    except VerificationError:
-        verdict = False
-    _BASELINE_VERIFIES[key] = verdict
-    return verdict
-
 
 def _assert_equivalent(source, config, subset):
     try:
         detail = check_optimized_equivalence(
             source, INPUTS, config=config, passes=subset,
-            verify=_baseline_verifies(source, config),
         )
     except InterpreterError as error:
         pytest.skip(f"original not executable: {error}")
@@ -72,28 +46,6 @@ def test_golden_program_equivalence(name, subset):
     _assert_equivalent(program.source, program.config, subset)
 
 
-def _project_baseline_verifies(project) -> bool:
-    key = project.name
-    cached = _BASELINE_VERIFIES.get(key)
-    if cached is not None:
-        return cached
-    from repro.ir.verify import VerificationError, verify_program
-    from repro.linkage.linker import analyze_linked_sources
-
-    result, _link = analyze_linked_sources(
-        list(project.files), project.config, entry=project.entry
-    )
-    verdict = False
-    if result is not None:
-        try:
-            verify_program(result.program, ssa=True, stage="baseline")
-            verdict = True
-        except VerificationError:
-            verdict = False
-    _BASELINE_VERIFIES[key] = verdict
-    return verdict
-
-
 @pytest.mark.parametrize("subset", PASS_SUBSETS, ids=_SUBSET_IDS)
 @pytest.mark.parametrize("name", sorted(golden_projects()))
 def test_golden_project_equivalence(name, subset):
@@ -104,7 +56,6 @@ def test_golden_project_equivalence(name, subset):
         detail = check_optimized_project_equivalence(
             list(project.files), entry=project.entry, inputs=INPUTS,
             config=project.config, passes=subset,
-            verify=_project_baseline_verifies(project),
         )
     except ValueError as error:
         pytest.skip(f"project does not link: {error}")

@@ -208,6 +208,43 @@ class TestTraceArtifact:
         assert {e["id"] for e in finishes} <= {e["id"] for e in starts}
 
 
+    def test_ring_entry_buckets_are_the_stage_spans(self, workdir):
+        """The timeline and the trace read one stage recorder: an edited
+        file's parse/solve buckets are exactly its stage spans."""
+        trace_path = workdir / "serve.trace.json"
+        server = make_server(workdir, trace_path=str(trace_path))
+        program = workdir / "prog.f"
+
+        def drive(client):
+            client.analyze(str(program))
+            program.write_text(TRI_PROGRAM.replace("N = 100", "N = 101"))
+            client.analyze(str(program))
+            return client.obs()["result"]["recent"]
+
+        recent = run_and_stop(server, drive)
+        (entry,) = [e for e in recent if e["request_id"] == "r000002"]
+        assert entry["replayed"] is False
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        (root,) = [e for e in events if e.get("ph") == "X"
+                   and e["name"] == "serve.request"
+                   and e["args"]["request_id"] == "r000002"]
+        durations = {}
+        for event in events:
+            if (event.get("ph") == "X" and event["name"].startswith("stage.")
+                    and event["tid"] == root["tid"]
+                    and root["ts"] <= event["ts"] <= root["ts"] + root["dur"]):
+                name = event["name"][len("stage."):]
+                durations[name] = durations.get(name, 0) + event["dur"]
+        assert "fingerprint" in durations  # nested: in no bucket
+        parse_us = durations["parse"] + durations["lower"]
+        solve_us = sum(durations[name] for name in (
+            "prepare", "return_functions", "forward_functions",
+            "propagate", "substitution",
+        ))
+        assert entry["parse_ms"] == pytest.approx(parse_us / 1000, abs=5e-4)
+        assert entry["solve_ms"] == pytest.approx(solve_us / 1000, abs=5e-4)
+
+
 class TestScopeIsolation:
     """Concurrent requests must see non-overlapping per-request metric
     deltas: the dispatcher scopes the registry per request, so handler

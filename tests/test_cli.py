@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import json
 import os
 import subprocess
 import sys
@@ -414,6 +415,23 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "3 trial(s)" in out
         assert "0 failed" in out
+
+    def test_profile_times_trials(self, tmp_path, capsys):
+        path = tmp_path / "oracle.profile.json"
+        assert main(["oracle", "--trials", "3", "--seed", "0",
+                     "--profile", str(path)]) == 0
+        profile = json.loads(path.read_text())
+        stages = profile["stages"]
+        assert stages["trial"]["calls"] == 3
+        assert profile["counters"]["parses"] >= 3
+        # the analyses inside each trial are nested stages: recorded,
+        # but not added to the total a second time
+        assert "propagate" in stages
+        outermost = sum(
+            stages[name]["seconds"] for name in ("trial", "minimize")
+            if name in stages
+        )
+        assert profile["total_seconds"] == pytest.approx(outermost, abs=2e-6)
 
     def test_property_filter_and_size_flags(self, capsys):
         code = main(

@@ -152,6 +152,37 @@ def test_cli_cold_warm_parity(argv, replays, sources, tmp_path, capsys):
         (cold_code, cold, cold_err, cold_ir)
 
 
+def test_provenance_recorded_only_when_explained(sources, tmp_path, capsys):
+    """A plain cached run records no ``prov`` entry. The first
+    ``--explain`` after it runs live, prints what a cold ``--explain``
+    prints and records the entry; the next ``--explain`` replays it."""
+    cache = tmp_path / "cache"
+    plain = ["analyze", sources["tri"], "--cache-dir", str(cache)]
+    explain = [*plain, "--explain", "g1@bar"]
+
+    def run(argv):
+        parses = metrics.value("parses")
+        assert main(argv) == 0
+        return capsys.readouterr().out, metrics.value("parses") - parses
+
+    def prov_entries():
+        return list(cache.glob("v*/prov/*/*.json"))
+
+    run(plain)
+    assert not prov_entries()
+    after_plain, parses = run(explain)
+    assert parses > 0, "no prov entry: the explain runs live"
+    assert len(prov_entries()) == 1
+    replayed, parses = run(explain)
+    assert parses == 0
+    cold, _ = run([
+        "analyze", sources["tri"], "--cache-dir", str(tmp_path / "cold"),
+        "--explain", "g1@bar",
+    ])
+    assert after_plain == cold
+    assert _scrub(replayed) == cold
+
+
 DAEMON_CASES = [
     ("file-analyze", ["analyze", "{tri}"]),
     ("file-explain", ["explain", "{tri}", "--explain", "g1@bar"]),
@@ -286,6 +317,7 @@ UNCALLED = frozenset({
     "repro.ir.verify", "repro.ir.clone", "repro.ipcp.binding_graph",
     "repro.ipcp.cloning", "repro.ipcp.inlining", "repro.ipcp.stats",
     "repro.analysis.loops", "repro.analysis.ssa_out", "repro.analysis.dce",
+    "repro.profiling", "repro.obs.timeline",
 })
 #: Packages whose ``__init__`` resolves its public names lazily.
 LAZY_PACKAGES = ("repro", "repro.analysis", "repro.frontend", "repro.ipcp",
