@@ -49,6 +49,7 @@ from repro.config import AnalysisConfig
 from repro.engine import Engine
 from repro.engine.memo import clear_memos
 from repro.ipcp.driver import analyze_source
+from repro.pipeline import run_entry
 from repro.suite.generator import GeneratorConfig, generate_program
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -182,7 +183,9 @@ def test_cache_cold_vs_warm(procedures, report, tmp_path_factory, capfd):
     def cold_run():
         with Engine(cache_dir=cache_dir) as engine:
             result = analyze_source(text, config, engine=engine)
-            engine.record_run(text, config, result)
+            engine.record_run(
+                text, config, result, run_entry(result, {"constants"})
+            )
             return fingerprint(result)
 
     cold_seconds, cold = timed(cold_run)

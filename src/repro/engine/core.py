@@ -10,6 +10,11 @@ content-addressed summary cache (:mod:`repro.engine.cache`) keyed by
 Merkle fingerprints (:mod:`repro.engine.fingerprint`), so unchanged
 procedures are never re-analyzed across runs.
 
+The engine also keeps parsed program units across runs
+(:mod:`repro.frontend.unit_memo`): the driver and the linker parse
+through :meth:`Engine.parse`, so an edit re-parses only the units it
+changed.
+
 A summary is encoded (:mod:`repro.engine.summaries`) only to be stored
 in the cache, and decoded only when read from it: a hit decodes into
 the same structures, at the same position, that a fresh build fills,
@@ -31,6 +36,7 @@ from repro.config import AnalysisConfig
 from repro.engine import fingerprint, summaries
 from repro.engine.cache import SummaryCache
 from repro.engine.fingerprint import _sha
+from repro.frontend.unit_memo import UnitMemo
 from repro.ir.module import Program
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
@@ -38,8 +44,8 @@ from repro.obs import trace
 
 class Engine:
     """One engine instance drives one or more analysis runs, sharing
-    its cache across them. With no cache it does the plain driver's
-    work."""
+    its cache and its parsed units across them. With no cache it does
+    the plain driver's work."""
 
     def __init__(
         self,
@@ -53,6 +59,7 @@ class Engine:
         #: and between procedures; raising aborts the run (the daemon
         #: sets this to its per-request deadline check).
         self.checkpoint: Optional[Callable[[], None]] = None
+        self._units = UnitMemo()
         self._program: Optional[Program] = None
         self._config: Optional[AnalysisConfig] = None
         self._reset_run()
@@ -81,8 +88,10 @@ class Engine:
         }
 
     def close(self) -> None:
-        """Release the last run's program and summary index; the cache
-        handle stays usable."""
+        """Release the last run's program, call graph and summary index;
+        the cache handle and the parsed units stay usable.
+        :func:`repro.pipeline.run` calls this once a run's manifest is
+        written, so a daemon holds no finished run between requests."""
         self._program = None
         self._config = None
         self._reset_run()
@@ -92,6 +101,15 @@ class Engine:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # -- parsing -------------------------------------------------------------
+
+    def parse(self, text: str, filename: str = "<string>",
+              diagnostics=None):
+        """:func:`repro.frontend.parser.parse_source`, reusing the units
+        this engine parsed before under ``filename``
+        (:class:`~repro.frontend.unit_memo.UnitMemo`)."""
+        return self._units.parse(text, filename, diagnostics)
 
     # -- attachment (first stage call) ---------------------------------------
 
@@ -407,21 +425,22 @@ class Engine:
         return self.cache.get("prov", fingerprint.run_key(text, config))
 
     def record_run(self, text: str, config: AnalysisConfig, result,
-                   provenance=None) -> None:
-        """Record a *clean* run's render-ready outcome. Runs with
-        demotions or diagnostics are never recorded: their output
-        depends on more than (source, config) content.
+                   payload: dict, provenance=None) -> None:
+        """Record a *clean* run's outcome: ``payload``, the sections the
+        request rendered (the constants report and counts, plus any of
+        ``transformed_source``, ``ir`` and ``stats``), as
+        :func:`repro.pipeline.run` built them. Nothing is rendered here;
+        a later request that needs a section this entry lacks runs live
+        and records it. Runs with demotions or diagnostics are never
+        recorded: their output depends on more than (source, config)
+        content.
 
-        Besides the constants report, the ``run`` payload carries the
-        renderings every replayable CLI mode needs — the transformed
-        source, the ``--stats`` table, and the ``--dump-ir`` text — so a
-        warm replay can serve those flags without re-analyzing. The
-        ``--explain`` provenance, most of a run's bytes, is recorded
-        only for a request that asked for it: pass ``provenance`` (a
+        The ``--explain`` provenance, most of a run's bytes, goes to its
+        own ``prov`` entry under the same key, written only for a
+        request that asked for it: pass ``provenance`` (a
         :class:`~repro.obs.provenance.ConstantProvenance` of ``result``
         with no ``used_by`` annotations, which only optimized — never
-        recorded — runs add) to write its own ``prov`` entry under the
-        same key.
+        recorded — runs add).
         """
         if self.cache is None:
             return
@@ -429,20 +448,6 @@ class Engine:
             return
         if result.diagnostics is not None and result.diagnostics.diagnostics:
             return
-        payload = {
-            "config": config.describe(),
-            "constants_report": result.constants.format_report(),
-            "total_pairs": result.constants.total_pairs(),
-            "substituted": result.substitution.total,
-            "per_procedure": dict(result.substitution.per_procedure),
-            "transformed_source": (
-                result.transformed_source()
-                if result.program.source is not None
-                else None
-            ),
-            "stats": self._render_stats(result),
-            "ir": self._render_ir(result),
-        }
         key = fingerprint.run_key(text, config)
         if provenance is not None:
             self.cache.put("prov", key, provenance.to_payload())
@@ -503,19 +508,10 @@ class Engine:
         obs_metrics.inc("opt_cache_stores")
 
     @staticmethod
-    def _render_stats(result) -> Optional[str]:
-        from repro.ipcp.stats import collect_statistics
-
-        try:
-            return collect_statistics(result).format()
-        except Exception:  # noqa: BLE001 — a failed rendering only
-            return None  # narrows what the replay can serve
-
-    @staticmethod
     def _render_ir(result) -> Optional[str]:
         from repro.ir.printer import format_program
 
         try:
             return format_program(result.program)
-        except Exception:  # noqa: BLE001
-            return None
+        except Exception:  # noqa: BLE001 — a failed rendering only
+            return None  # narrows what the replay can serve

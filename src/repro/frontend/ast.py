@@ -1,94 +1,157 @@
 """Abstract syntax tree for MiniFortran.
 
-The tree is deliberately small: one node class per construct, all plain
-dataclasses carrying a :class:`SourceLocation`. Lowering to the IR
-(:mod:`repro.ir.lowering`) consumes this tree; nothing else mutates it.
+The tree is deliberately small: one node class per construct, each
+carrying a :class:`SourceLocation`. Lowering to the IR
+(:mod:`repro.ir.lowering`) consumes this tree; nothing else mutates it,
+which is what lets an engine keep parsed units across requests
+(:mod:`repro.frontend.unit_memo`).
+
+Nodes are plain ``__slots__`` classes with hand-written ``__init__``s:
+no per-node ``__dict__`` (a retained tree is a third smaller) and no
+class bodies generated at import, which a dataclass pays on every cold
+start. Each class lists its constructor fields in ``_fields``; equality
+and ``repr`` compare and print those, as dataclasses did.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from repro.frontend.source import SourceLocation
+
+
+class Node:
+    """Base of every node: value equality and a ``repr`` over
+    ``_fields``. Like a non-frozen dataclass, a node is unhashable."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in self._fields
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields
+        )
+        return f"{type(self).__name__}({fields})"
+
 
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Expr:
+class Expr(Node):
     """Base class for expression nodes."""
 
-    location: SourceLocation
+    __slots__ = ("location",)
+    _fields = ("location",)
+
+    def __init__(self, location: SourceLocation):
+        self.location = location
 
 
-@dataclass
 class IntLiteral(Expr):
     """An integer literal such as ``42``."""
 
-    value: int
+    __slots__ = ("value",)
+    _fields = ("location", "value")
+
+    def __init__(self, location: SourceLocation, value: int):
+        self.location = location
+        self.value = value
 
 
-@dataclass
 class VarRef(Expr):
     """A reference to a scalar variable (or a whole array, as an actual
     argument)."""
 
-    name: str
+    __slots__ = ("name",)
+    _fields = ("location", "name")
+
+    def __init__(self, location: SourceLocation, name: str):
+        self.location = location
+        self.name = name
 
 
-@dataclass
 class ArrayRef(Expr):
     """A subscripted array reference ``A(I, J)``."""
 
-    name: str
-    indices: List[Expr]
+    __slots__ = ("name", "indices")
+    _fields = ("location", "name", "indices")
+
+    def __init__(self, location: SourceLocation, name: str,
+                 indices: List[Expr]):
+        self.location = location
+        self.name = name
+        self.indices = indices
 
 
-@dataclass
 class FunctionCall(Expr):
     """A call to an INTEGER FUNCTION appearing inside an expression."""
 
-    name: str
-    args: List[Expr]
+    __slots__ = ("name", "args")
+    _fields = ("location", "name", "args")
+
+    def __init__(self, location: SourceLocation, name: str,
+                 args: List[Expr]):
+        self.location = location
+        self.name = name
+        self.args = args
 
 
-@dataclass
 class UnaryOp(Expr):
     """Unary minus or ``.NOT.``; ``op`` is ``'-'`` or ``'not'``."""
 
-    op: str
-    operand: Expr
+    __slots__ = ("op", "operand")
+    _fields = ("location", "op", "operand")
+
+    def __init__(self, location: SourceLocation, op: str, operand: Expr):
+        self.location = location
+        self.op = op
+        self.operand = operand
 
 
-@dataclass
-class BinaryOp(Expr):
+class _Binary(Expr):
+    """The shape the three binary node kinds share; none is an instance
+    of another."""
+
+    __slots__ = ("op", "left", "right")
+    _fields = ("location", "op", "left", "right")
+
+    def __init__(self, location: SourceLocation, op: str, left: Expr,
+                 right: Expr):
+        self.location = location
+        self.op = op
+        self.left = left
+        self.right = right
+
+
+class BinaryOp(_Binary):
     """Integer arithmetic; ``op`` is one of ``+ - * /``."""
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ()
 
 
-@dataclass
-class Compare(Expr):
+class Compare(_Binary):
     """A relational comparison; ``op`` is ``eq ne lt le gt ge``."""
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ()
 
 
-@dataclass
-class LogicalOp(Expr):
+class LogicalOp(_Binary):
     """``.AND.`` / ``.OR.``; ``op`` is ``'and'`` or ``'or'``."""
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -96,32 +159,47 @@ class LogicalOp(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Stmt:
+class Stmt(Node):
     """Base class for statement nodes; ``label`` is the numeric statement
     label when one is present in the label field."""
 
-    location: SourceLocation
-    label: Optional[int] = None
+    __slots__ = ("location", "label")
+    _fields = ("location", "label")
+
+    def __init__(self, location: SourceLocation,
+                 label: Optional[int] = None):
+        self.location = location
+        self.label = label
 
 
-@dataclass
 class Assign(Stmt):
     """``target = value`` where target is a VarRef or ArrayRef."""
 
-    target: Union[VarRef, ArrayRef] = None
-    value: Expr = None
+    __slots__ = ("target", "value")
+    _fields = ("location", "label", "target", "value")
+
+    def __init__(self, location: SourceLocation, label: Optional[int] = None,
+                 target: Union[VarRef, ArrayRef] = None, value: Expr = None):
+        self.location = location
+        self.label = label
+        self.target = target
+        self.value = value
 
 
-@dataclass
 class CallStmt(Stmt):
     """``CALL name(args)``."""
 
-    name: str = ""
-    args: List[Expr] = field(default_factory=list)
+    __slots__ = ("name", "args")
+    _fields = ("location", "label", "name", "args")
+
+    def __init__(self, location: SourceLocation, label: Optional[int] = None,
+                 name: str = "", args: Optional[List[Expr]] = None):
+        self.location = location
+        self.label = label
+        self.name = name
+        self.args = [] if args is None else args
 
 
-@dataclass
 class IfStmt(Stmt):
     """Block IF with optional ELSEIF arms and ELSE body.
 
@@ -129,13 +207,27 @@ class IfStmt(Stmt):
     holds the single statement.
     """
 
-    cond: Expr = None
-    then_body: List[Stmt] = field(default_factory=list)
-    elifs: List[Tuple[Expr, List[Stmt]]] = field(default_factory=list)
-    else_body: List[Stmt] = field(default_factory=list)
+    __slots__ = ("cond", "then_body", "elifs", "else_body")
+    _fields = ("location", "label", "cond", "then_body", "elifs",
+               "else_body")
+
+    def __init__(
+        self,
+        location: SourceLocation,
+        label: Optional[int] = None,
+        cond: Expr = None,
+        then_body: Optional[List[Stmt]] = None,
+        elifs: Optional[List[Tuple[Expr, List[Stmt]]]] = None,
+        else_body: Optional[List[Stmt]] = None,
+    ):
+        self.location = location
+        self.label = label
+        self.cond = cond
+        self.then_body = [] if then_body is None else then_body
+        self.elifs = [] if elifs is None else elifs
+        self.else_body = [] if else_body is None else else_body
 
 
-@dataclass
 class DoStmt(Stmt):
     """``DO var = start, stop [, step]`` ... ``ENDDO``.
 
@@ -144,56 +236,98 @@ class DoStmt(Stmt):
     is checked during lowering.
     """
 
-    var: str = ""
-    start: Expr = None
-    stop: Expr = None
-    step: Optional[Expr] = None
-    body: List[Stmt] = field(default_factory=list)
+    __slots__ = ("var", "start", "stop", "step", "body")
+    _fields = ("location", "label", "var", "start", "stop", "step", "body")
+
+    def __init__(
+        self,
+        location: SourceLocation,
+        label: Optional[int] = None,
+        var: str = "",
+        start: Expr = None,
+        stop: Expr = None,
+        step: Optional[Expr] = None,
+        body: Optional[List[Stmt]] = None,
+    ):
+        self.location = location
+        self.label = label
+        self.var = var
+        self.start = start
+        self.stop = stop
+        self.step = step
+        self.body = [] if body is None else body
 
 
-@dataclass
 class DoWhileStmt(Stmt):
     """``DO WHILE (cond)`` ... ``ENDDO``."""
 
-    cond: Expr = None
-    body: List[Stmt] = field(default_factory=list)
+    __slots__ = ("cond", "body")
+    _fields = ("location", "label", "cond", "body")
+
+    def __init__(self, location: SourceLocation, label: Optional[int] = None,
+                 cond: Expr = None, body: Optional[List[Stmt]] = None):
+        self.location = location
+        self.label = label
+        self.cond = cond
+        self.body = [] if body is None else body
 
 
-@dataclass
 class GotoStmt(Stmt):
     """``GOTO label``."""
 
-    target: int = 0
+    __slots__ = ("target",)
+    _fields = ("location", "label", "target")
+
+    def __init__(self, location: SourceLocation, label: Optional[int] = None,
+                 target: int = 0):
+        self.location = location
+        self.label = label
+        self.target = target
 
 
-@dataclass
 class ContinueStmt(Stmt):
     """``CONTINUE`` — a no-op, typically a GOTO target."""
 
+    __slots__ = ()
 
-@dataclass
+
 class ReturnStmt(Stmt):
     """``RETURN``."""
 
+    __slots__ = ()
 
-@dataclass
+
 class StopStmt(Stmt):
     """``STOP`` — terminate the program."""
 
+    __slots__ = ()
 
-@dataclass
+
 class ReadStmt(Stmt):
     """``READ *, targets`` — assigns run-time (unknowable) values."""
 
-    targets: List[Union[VarRef, ArrayRef]] = field(default_factory=list)
+    __slots__ = ("targets",)
+    _fields = ("location", "label", "targets")
+
+    def __init__(self, location: SourceLocation, label: Optional[int] = None,
+                 targets: Optional[List[Union[VarRef, ArrayRef]]] = None):
+        self.location = location
+        self.label = label
+        self.targets = [] if targets is None else targets
 
 
-@dataclass
 class PrintStmt(Stmt):
     """``PRINT *, items`` (WRITE is accepted as a synonym); items are
     expressions or string literals."""
 
-    items: List[Union[Expr, str]] = field(default_factory=list)
+    __slots__ = ("items",)
+    _fields = ("location", "label", "items")
+
+    def __init__(self, location: SourceLocation, label: Optional[int] = None,
+                 items: Optional[List[Union[Expr, str]]] = None):
+        self.location = location
+        self.label = label
+        self.items = [] if items is None else items
 
 
 # ---------------------------------------------------------------------------
@@ -201,55 +335,87 @@ class PrintStmt(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Decl:
+class Decl(Node):
     """Base class for specification statements."""
 
-    location: SourceLocation
+    __slots__ = ("location",)
+    _fields = ("location",)
+
+    def __init__(self, location: SourceLocation):
+        self.location = location
 
 
-@dataclass
-class DeclItem:
+class DeclItem(Node):
     """One name in a declaration list, with optional array dimensions."""
 
-    name: str
-    dims: Optional[List[int]] = None
+    __slots__ = ("name", "dims")
+    _fields = ("name", "dims")
+
+    def __init__(self, name: str, dims: Optional[List[int]] = None):
+        self.name = name
+        self.dims = dims
 
     @property
     def is_array(self) -> bool:
         return self.dims is not None
 
 
-@dataclass
-class IntegerDecl(Decl):
+class _ItemsDecl(Decl):
+    """A declaration listing :class:`DeclItem` s."""
+
+    __slots__ = ("items",)
+    _fields = ("location", "items")
+
+    def __init__(self, location: SourceLocation,
+                 items: Optional[List[DeclItem]] = None):
+        self.location = location
+        self.items = [] if items is None else items
+
+
+class IntegerDecl(_ItemsDecl):
     """``INTEGER a, b(10), c`` — type (and possibly shape) declarations."""
 
-    items: List[DeclItem] = field(default_factory=list)
+    __slots__ = ()
 
 
-@dataclass
-class DimensionDecl(Decl):
+class DimensionDecl(_ItemsDecl):
     """``DIMENSION a(10)`` — shape declarations."""
 
-    items: List[DeclItem] = field(default_factory=list)
+    __slots__ = ()
 
 
-@dataclass
 class CommonDecl(Decl):
     """``COMMON /block/ a, b(5)`` — global storage declaration."""
 
-    block: str = ""
-    items: List[DeclItem] = field(default_factory=list)
+    __slots__ = ("block", "items")
+    _fields = ("location", "block", "items")
+
+    def __init__(self, location: SourceLocation, block: str = "",
+                 items: Optional[List[DeclItem]] = None):
+        self.location = location
+        self.block = block
+        self.items = [] if items is None else items
 
 
-@dataclass
-class ParameterDecl(Decl):
-    """``PARAMETER (n = 10, m = n * 2)`` — named compile-time constants."""
+class _BindingsDecl(Decl):
+    """A declaration pairing names with values."""
 
-    bindings: List[Tuple[str, Expr]] = field(default_factory=list)
+    __slots__ = ("bindings",)
+    _fields = ("location", "bindings")
+
+    def __init__(self, location: SourceLocation,
+                 bindings: Optional[list] = None):
+        self.location = location
+        self.bindings = [] if bindings is None else bindings
 
 
-@dataclass
+class ParameterDecl(_BindingsDecl):
+    """``PARAMETER (n = 10, m = n * 2)`` — named compile-time constants;
+    ``bindings`` pairs each name with its expression."""
+
+    __slots__ = ()
+
+
 class ExternalDecl(Decl):
     """``EXTERNAL f, g`` — the named procedures are defined in another
     program unit (possibly another file). Within a single-file analysis
@@ -258,17 +424,23 @@ class ExternalDecl(Decl):
     (:mod:`repro.linkage`) resolves the names against the whole
     program's symbol table instead."""
 
-    names: List[str] = field(default_factory=list)
+    __slots__ = ("names",)
+    _fields = ("location", "names")
+
+    def __init__(self, location: SourceLocation,
+                 names: Optional[List[str]] = None):
+        self.location = location
+        self.names = [] if names is None else names
 
 
-@dataclass
-class DataDecl(Decl):
+class DataDecl(_BindingsDecl):
     """``DATA a, b /1, 2/`` — static initial values. MiniFortran allows
     DATA only inside BLOCK DATA units, initializing scalar COMMON
     members (the FORTRAN idiom interprocedural constant propagation
-    cares about: compile-time-known global configuration)."""
+    cares about: compile-time-known global configuration).
+    ``bindings`` pairs each name with its integer value."""
 
-    bindings: List[Tuple[str, int]] = field(default_factory=list)
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +457,7 @@ class ProcedureKind(enum.Enum):
     BLOCK_DATA = "block_data"
 
 
-@dataclass
-class ProcedureUnit:
+class ProcedureUnit(Node):
     """One program unit: PROGRAM, SUBROUTINE, or INTEGER FUNCTION.
 
     ``is_stub`` marks a unit whose body could not be parsed during
@@ -296,21 +467,39 @@ class ProcedureUnit:
     the rest of the module still analyzes soundly.
     """
 
-    kind: ProcedureKind
-    name: str
-    params: List[str]
-    decls: List[Decl]
-    body: List[Stmt]
-    location: SourceLocation
-    is_stub: bool = False
+    __slots__ = ("kind", "name", "params", "decls", "body", "location",
+                 "is_stub")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        kind: ProcedureKind,
+        name: str,
+        params: List[str],
+        decls: List[Decl],
+        body: List[Stmt],
+        location: SourceLocation,
+        is_stub: bool = False,
+    ):
+        self.kind = kind
+        self.name = name
+        self.params = params
+        self.decls = decls
+        self.body = body
+        self.location = location
+        self.is_stub = is_stub
 
 
-@dataclass
-class Module:
+class Module(Node):
     """A whole source file: a list of program units."""
 
-    units: List[ProcedureUnit]
-    filename: str = "<string>"
+    __slots__ = ("units", "filename")
+    _fields = __slots__
+
+    def __init__(self, units: List[ProcedureUnit],
+                 filename: str = "<string>"):
+        self.units = units
+        self.filename = filename
 
     def unit(self, name: str) -> ProcedureUnit:
         """Look up a unit by (case-insensitive) name."""
@@ -337,7 +526,7 @@ def walk_statements(body: List[Stmt]):
 def walk_expressions(expr: Expr):
     """Yield ``expr`` and every sub-expression."""
     yield expr
-    if isinstance(expr, (BinaryOp, Compare, LogicalOp)):
+    if isinstance(expr, _Binary):
         yield from walk_expressions(expr.left)
         yield from walk_expressions(expr.right)
     elif isinstance(expr, UnaryOp):

@@ -11,7 +11,9 @@ fixed-column card format:
   continuation cards.
 
 Identifiers and keywords are case-insensitive; identifier tokens carry
-their lower-cased spelling in ``value``.
+their lower-cased spelling in ``value``, interned (``sys.intern``), so
+every reference to a name in the trees an engine keeps shares one
+string.
 
 The lexer is table-driven: one compiled regular expression (``_TOKEN``)
 matches the blanks before a token and the token itself, and the number
@@ -22,6 +24,7 @@ costs one match instead of a Python-level loop over its characters.
 from __future__ import annotations
 
 import re
+import sys
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.frontend.errors import LexError
@@ -106,16 +109,21 @@ class Lexer:
 
         self.diagnostics.error(E_LEX, message, location)
 
-    def tokens(self) -> List[Token]:
-        """Tokenize the whole file, ending with a single EOF token."""
+    def tokens(self, first_line: int = 1) -> List[Token]:
+        """Tokenize the whole file, ending with a single EOF token.
+
+        ``first_line`` is the number of the source's first line: a
+        chunk of a larger file lexes to the tokens, locations included,
+        that the same lines have in the whole file (no lexer state
+        crosses a line)."""
         result: List[Token] = []
         lines = self.source.lines
-        for line_number, line in enumerate(lines, start=1):
+        for line_number, line in enumerate(lines, start=first_line):
             if not _is_comment_line(line):
                 self._lex_line(line, line_number, result)
         result.append(Token(
             TokenKind.EOF, "",
-            SourceLocation(self.source.name, len(lines) + 1, 1),
+            SourceLocation(self.source.name, first_line + len(lines), 1),
         ))
         return result
 
@@ -127,6 +135,7 @@ class Lexer:
         match = _TOKEN.match
         keywords = KEYWORDS
         ident = TokenKind.IDENT
+        intern = sys.intern
         before = len(result)
         pos = 0
         at_start = True  # a digit string that starts a line is a label
@@ -140,7 +149,7 @@ class Lexer:
             start = pos - len(text)
             location = SourceLocation(filename, line_number, start + 1)
             if group == _NAME or group == _UNAME and text[0].isalpha():
-                lowered = text.lower()
+                lowered = intern(text.lower())
                 result.append(Token(
                     keywords.get(lowered, ident), text, location, lowered
                 ))

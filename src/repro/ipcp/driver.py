@@ -302,9 +302,14 @@ def analyze_source(
     Strict frontend contract: raises :class:`FrontendError` on the
     first lex/parse/semantic problem. Use
     :func:`analyze_source_resilient` for multi-error recovery.
+
+    With an ``engine``, parsing goes through :meth:`Engine.parse
+    <repro.engine.core.Engine.parse>`, which reuses the units it parsed
+    before; without one, through this module's ``parse_source``.
     """
+    parse = parse_source if engine is None else engine.parse
     with stage("parse"):
-        module = parse_source(text, filename)
+        module = parse(text, filename)
     with stage("lower"):
         program = lower_module(module, SourceFile(filename, text))
     return analyze_program(program, config, engine=engine)
@@ -327,8 +332,9 @@ def analyze_source_resilient(
     or the recovered module fails semantic lowering).
     """
     diag = diagnostics if diagnostics is not None else DiagnosticEngine()
+    parse = parse_source if engine is None else engine.parse
     with stage("parse"):
-        module = parse_source(text, filename, diag)
+        module = parse(text, filename, diag)
     if not module.units:
         return None, diag
     try:

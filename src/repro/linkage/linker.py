@@ -148,12 +148,16 @@ def link_sources(
     named: Sequence[Tuple[str, str]],
     entry: Optional[str] = None,
     diagnostics: Optional[DiagnosticEngine] = None,
+    engine=None,
 ) -> LinkResult:
     """Link ``named`` — a sequence of ``(filename, text)`` pairs — into
     one whole-program module.
 
     Deterministic: diagnostics are reported in file order, then unit
-    order, so two runs over the same inputs render identically.
+    order, so two runs over the same inputs render identically. With an
+    ``engine``, each file is parsed through :meth:`Engine.parse
+    <repro.engine.core.Engine.parse>`, which reuses the units it parsed
+    before.
     """
     diag = diagnostics if diagnostics is not None else DiagnosticEngine()
     entry = entry.lower() if entry else None
@@ -167,9 +171,10 @@ def link_sources(
         diag.error(E_LINK, "nothing to link: no input files")
         return result
 
+    parse = parse_source if engine is None else engine.parse
     modules: List[Tuple[str, ast.Module]] = []
     for filename, text in named:
-        modules.append((filename, parse_source(text, filename, diag)))
+        modules.append((filename, parse(text, filename, diag)))
 
     # 1. Program-level symbol table + duplicate detection.
     by_name: Dict[str, List[LinkUnit]] = {}
@@ -341,6 +346,7 @@ def link_files(
     paths: Sequence[str],
     entry: Optional[str] = None,
     diagnostics: Optional[DiagnosticEngine] = None,
+    engine=None,
 ) -> LinkResult:
     """Read and link the files at ``paths``. An unreadable file is an
     ``E_IO`` diagnostic and fails the link (an incomplete symbol table
@@ -365,7 +371,7 @@ def link_files(
             entry=entry.lower() if entry else None,
             files=list(paths),
         )
-    return link_sources(named, entry=entry, diagnostics=diag)
+    return link_sources(named, entry=entry, diagnostics=diag, engine=engine)
 
 
 # -- linked analysis ---------------------------------------------------------
@@ -386,7 +392,9 @@ def analyze_linked_sources(
     """
     from repro.ipcp.driver import analyze_program
 
-    link = link_sources(named, entry=entry, diagnostics=diagnostics)
+    link = link_sources(
+        named, entry=entry, diagnostics=diagnostics, engine=engine
+    )
     if link.module is None:
         return None, link
     from repro.ir.lowering import lower_module
@@ -411,7 +419,9 @@ def analyze_linked_files(
     """File-path variant of :func:`analyze_linked_sources`."""
     from repro.ipcp.driver import analyze_program
 
-    link = link_files(paths, entry=entry, diagnostics=diagnostics)
+    link = link_files(
+        paths, entry=entry, diagnostics=diagnostics, engine=engine
+    )
     if link.module is None:
         return None, link
     from repro.ir.lowering import lower_module

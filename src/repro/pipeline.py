@@ -16,7 +16,11 @@ request renders. A replay copies the sections out of the recorded
 builds provenance at most once, records the ``run`` and ``prov``
 entries before optimizing (their renderings describe the analyzed
 program) and the ``opt`` entry after, then writes the incremental
-manifest. Live and replayed outcomes are filled by the same function
+manifest and releases the engine's hold on the analyzed program. A
+``run`` entry holds the sections its request rendered, plus those of
+the entry the replay read and could not use (same key, same analysis),
+so requests that show different sections never evict each other's.
+Live and replayed outcomes are filled by the same function
 (:func:`_fill`), so the two render identically.
 """
 
@@ -191,16 +195,33 @@ def run(request: Request, engine=None, checkpoint=None) -> FileOutcome:
         ).render()
         return outcome
     text = _key_text(request, named)
-    cache = engine.cache if engine is not None else None
     live_only = request.strict or request.config.verify_ir
-    if cache is not None and not live_only and _replay(
-        request, engine, text, outcome
-    ):
-        return outcome
-
+    record = engine is not None and engine.cache is not None and not live_only
+    earlier = None
+    if record:
+        earlier = _replay(request, engine, text, outcome)
+        if outcome.replayed:
+            return outcome
+    if engine is None:
+        return _live(request, named, text, outcome)
     if checkpoint is not None:
         checkpoint()
         engine.checkpoint = checkpoint
+    try:
+        return _live(request, named, text, outcome, engine, record, earlier)
+    finally:
+        # The run is done (manifest written, or aborted): the engine
+        # keeps its cache and parsed units, not the analyzed program.
+        engine.checkpoint = None
+        engine.close()
+
+
+def _live(request: Request, named, text: str, outcome: FileOutcome,
+          engine=None, record: bool = False,
+          earlier: Optional[dict] = None) -> FileOutcome:
+    """The live half of :func:`run`: analyze, record (when ``record``;
+    ``earlier`` is the ``run`` entry the replay read and could not
+    use), optimize, render, write the manifest."""
     try:
         result, diagnostics, link = _analyze(request, named, engine)
     except FrontendError as err:
@@ -208,9 +229,6 @@ def run(request: Request, engine=None, checkpoint=None) -> FileOutcome:
             raise
         outcome.status, outcome.error = ERROR, str(err)
         return outcome
-    finally:
-        if engine is not None:
-            engine.checkpoint = None
     if diagnostics is not None:
         outcome.error_codes = sorted({d.code for d in diagnostics.errors()})
     if result is None:
@@ -228,21 +246,17 @@ def run(request: Request, engine=None, checkpoint=None) -> FileOutcome:
         from repro.obs.provenance import build_provenance
 
         provenance = build_provenance(result)
-    run_payload = {
-        "config": config.describe(),
-        "constants_report": result.constants.format_report(),
-        "total_pairs": result.constants.total_pairs(),
-        "substituted": result.substituted_constants,
-        "per_procedure": result.substitution.per_procedure,
-        "transformed_source": (
-            result.transformed_source() if "transform" in sections else None
-        ),
-        "provenance": provenance,
-        **({} if optimized else _renderings(result, sections)),
-    }
-    record = cache is not None and not live_only
+    payload = run_entry(result, sections - {"ir", "stats"}
+                        if optimized else sections)
     if record:
-        engine.record_run(text, config, result, provenance)
+        if earlier is None and optimized:
+            # A ``repro optimize`` replay reads only the ``opt`` entry:
+            # read the ``run`` entry this one replaces, to keep its
+            # sections.
+            earlier = engine.cached_run(text, config)
+        engine.record_run(
+            text, config, result, _carried(payload, earlier), provenance
+        )
     opt_payload = None
     if optimized:
         from repro.opt import optimize_result
@@ -256,7 +270,8 @@ def run(request: Request, engine=None, checkpoint=None) -> FileOutcome:
                     "used_by": report.used_by},
             **_renderings(result, sections),
         }
-    _fill(outcome, request, run_payload, opt_payload)
+    _fill(outcome, request, dict(payload, provenance=provenance),
+          opt_payload)
     if "symbols" in sections:
         outcome.symbols = link.format_symbol_table()
     if request.dot is not None:
@@ -270,6 +285,42 @@ def run(request: Request, engine=None, checkpoint=None) -> FileOutcome:
         if invalidation is not None:
             outcome.invalidation = invalidation.to_dict()
     return outcome
+
+
+#: The sections a ``run`` entry holds only when a request rendered them.
+_RUN_SECTIONS = ("transformed_source", "ir", "stats")
+
+
+def run_entry(result, sections) -> dict:
+    """The ``run`` payload of an analysis: the CONSTANTS answer plus
+    the ``transform``/``ir``/``stats`` sections in ``sections`` (a
+    section not rendered is None). :func:`run` fills outcomes from it
+    and records it as it is, so an entry holds what was shown."""
+    rendered = _renderings(result, sections)
+    return {
+        "config": result.config.describe(),
+        "constants_report": result.constants.format_report(),
+        "total_pairs": result.constants.total_pairs(),
+        "substituted": result.substituted_constants,
+        "per_procedure": result.substitution.per_procedure,
+        "transformed_source": (
+            result.transformed_source() if "transform" in sections else None
+        ),
+        "ir": rendered.get("ir"),
+        "stats": rendered.get("stats"),
+    }
+
+
+def _carried(payload: dict, earlier: Optional[dict]) -> dict:
+    """``payload`` with the sections it lacks taken from ``earlier``,
+    the entry recorded under the same key (so of the same analysis)."""
+    if earlier is None:
+        return payload
+    merged = dict(payload)
+    for section in _RUN_SECTIONS:
+        if merged[section] is None and earlier.get(section) is not None:
+            merged[section] = earlier[section]
+    return merged
 
 
 def forget(request: Request, engine) -> bool:
@@ -303,10 +354,11 @@ def _key_text(request: Request, named) -> str:
 
 
 def _replay(request: Request, engine, text: str,
-            outcome: FileOutcome) -> bool:
-    """Fill ``outcome`` from the cache when :func:`serves` allows it.
-    Reads only the entries the request's sections come from: a plain
-    ``repro optimize`` reads just the ``opt`` entry."""
+            outcome: FileOutcome) -> Optional[dict]:
+    """Fill ``outcome`` from the cache when :func:`serves` allows it
+    (``outcome.replayed`` says so). Reads only the entries the
+    request's sections come from: a plain ``repro optimize`` reads just
+    the ``opt`` entry. Returns the ``run`` payload read, if any."""
     sections = request.sections
     optimized = request.passes is not None
     run_payload = opt_payload = None
@@ -322,12 +374,11 @@ def _replay(request: Request, engine, text: str,
             )
     if optimized:
         opt_payload = engine.cached_opt(text, request.config, request.passes)
-    if not serves(request, run_payload, opt_payload):
-        return False
-    _fill(outcome, request, run_payload, opt_payload)
-    outcome.replayed = True
-    outcome.invalidation = engine.replayed_report(outcome.path).to_dict()
-    return True
+    if serves(request, run_payload, opt_payload):
+        _fill(outcome, request, run_payload, opt_payload)
+        outcome.replayed = True
+        outcome.invalidation = engine.replayed_report(outcome.path).to_dict()
+    return run_payload
 
 
 def _analyze(request: Request, named, engine):

@@ -10,6 +10,7 @@ from repro.config import AnalysisConfig
 from repro.engine import Engine, SummaryCache, default_cache_root, fingerprint
 from repro.engine.cache import CacheStats
 from repro.ipcp.driver import analyze_source
+from repro.pipeline import run_entry
 from repro.suite.programs import program_source
 
 SOURCE = program_source("adm")
@@ -138,12 +139,16 @@ class TestRunCache:
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert engine.cached_run(SOURCE, config) is None
             result = run(config, engine=engine)
-            engine.record_run(SOURCE, config, result)
+            engine.record_run(
+                SOURCE, config, result,
+                run_entry(result, {"constants", "transform"}),
+            )
             payload = engine.cached_run(SOURCE, config)
         assert payload is not None
         assert payload["constants_report"] == result.constants.format_report()
         assert payload["substituted"] == result.substitution.total
         assert payload["transformed_source"] == result.transformed_source()
+        assert payload["ir"] is None and payload["stats"] is None
 
     def test_degraded_run_never_recorded(self, tmp_path):
         from repro.config import AnalysisBudget
@@ -152,5 +157,7 @@ class TestRunCache:
         with Engine(cache_dir=str(tmp_path)) as engine:
             result = run(config, engine=engine)
             assert result.resilience.demotions, "tight budget must demote"
-            engine.record_run(SOURCE, config, result)
+            engine.record_run(
+                SOURCE, config, result, run_entry(result, {"constants"})
+            )
             assert engine.cached_run(SOURCE, config) is None

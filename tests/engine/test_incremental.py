@@ -209,6 +209,61 @@ def test_incremental_matches_cold_and_touches_only_dirty_set(seed, tmp_path):
     assert set(report.clean) | dirty == {p.name for p in warm.program}
 
 
+def changed_chunks(before: str, after: str):
+    """``(changed, total)``: the chunks of ``after`` whose (first line,
+    text) ``before`` lacks — what an engine that parsed ``before`` must
+    parse again — and all of them."""
+    from repro.frontend.unit_memo import split_chunks
+
+    chunks = split_chunks(after)
+    return len(set(chunks) - set(split_chunks(before))), len(chunks)
+
+
+def parse_counters(before: dict) -> dict:
+    from repro.obs import metrics
+
+    delta = metrics.delta_since(before)["counters"]
+    return {
+        name: delta.get(name, 0)
+        for name in ("parses", "parse_units_parsed", "parse_units_reused")
+    }
+
+
+@pytest.mark.parametrize("seed", range(54))
+def test_one_engine_across_the_edit_matches_cold(seed, tmp_path):
+    """The same edit scripts through ONE engine, which keeps the units
+    it parsed from the original text: output is still byte-identical
+    to a cold engine-less run, and only the changed chunks re-parse."""
+    from repro.obs import metrics
+
+    source = generate_program(seed, GEN_CONFIG)
+    edited_source, edited_name = apply_edit(source, seed)
+    config = AnalysisConfig()
+    path = tmp_path / "prog.f"
+    path.write_text(source)
+    with Engine(cache_dir=str(tmp_path / "cache")) as engine:
+        analyze_file(str(path), config, engine=engine)
+        engine.finish_incremental(str(path))
+        path.write_text(edited_source)
+        before = metrics.snapshot()
+        warm = analyze_file(str(path), config, engine=engine)
+        counts = parse_counters(before)
+        report = engine.finish_incremental(str(path))
+        recomputed_ret = set(engine.recomputed["ret"])
+    cold = analyze_file(str(path), config)
+
+    assert render(warm) == render(cold)
+    changed, total = changed_chunks(source, edited_source)
+    assert changed >= 1
+    assert counts == {
+        "parses": 1,
+        "parse_units_parsed": changed,
+        "parse_units_reused": total - changed,
+    }, (seed, counts, changed)
+    assert edited_name in report.dirty
+    assert recomputed_ret == set(report.dirty)
+
+
 def test_clean_rerun_recomputes_nothing(tmp_path):
     source = generate_program(3, GEN_CONFIG)
     path = tmp_path / "prog.f"

@@ -215,9 +215,13 @@ class TestSsaCorruption:
             for position, instruction in enumerate(block.instructions):
                 if isinstance(instruction, Phi) or instruction.is_terminator:
                     continue
+                # The move lands just after the phis, so only a non-phi
+                # definition ends up after its use. Which block comes
+                # first depends on the set's order (object addresses).
                 defining = {
                     (d.var, d.version)
                     for earlier in block.instructions[:position]
+                    if not isinstance(earlier, Phi)
                     for d in earlier.defs()
                 }
                 if any(

@@ -22,7 +22,12 @@ from repro.ir.printer import format_program
 from repro.linkage import analyze_linked_files, project_label
 from repro.oracle.partition import split_program
 from repro.suite.generator import GeneratorConfig, generate_program
-from tests.engine.test_incremental import apply_edit, callers_closure
+from tests.engine.test_incremental import (
+    apply_edit,
+    callers_closure,
+    changed_chunks,
+    parse_counters,
+)
 
 GEN_CONFIG = GeneratorConfig(procedures=5)
 
@@ -107,6 +112,48 @@ def test_cross_file_incremental_matches_cold_and_touches_only_dirty(
     assert recomputed_fwd == dirty, (seed, recomputed_fwd, dirty)
     assert set(report.clean).isdisjoint(recomputed_ret | recomputed_fwd)
     assert set(report.clean) | dirty == {p.name for p in warm.program}
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_engine_across_the_edit_matches_cold(seed, tmp_path):
+    """The same partitions and edits through ONE engine, which keeps
+    every file's parsed units: byte-identical to a cold linked run, and
+    only the changed chunks of the edited file re-parse."""
+    from repro.obs import metrics
+
+    source = generate_program(seed, GEN_CONFIG)
+    parts = 2 + seed % 3
+    config = AnalysisConfig()
+    files = split_program(source, parts, seed)
+    paths = write_project(tmp_path, files)
+    edited_source, edited_name = apply_edit(source, seed)
+    edited_files = split_program(edited_source, parts, seed)
+    changed = total = 0
+    for (_, before), (_, after) in zip(files, edited_files):
+        file_changed, file_total = changed_chunks(before, after)
+        changed += file_changed
+        total += file_total
+
+    with Engine(cache_dir=str(tmp_path / "cache")) as engine:
+        _, link = analyze_linked_files(paths, config, engine=engine)
+        assert link.ok, link.diagnostics.format()
+        engine.finish_incremental(project_label(paths))
+        write_project(tmp_path, edited_files)
+        before = metrics.snapshot()
+        warm, link = analyze_linked_files(paths, config, engine=engine)
+        counts = parse_counters(before)
+        assert link.ok, link.diagnostics.format()
+        report = engine.finish_incremental(project_label(paths))
+
+    cold, _ = analyze_linked_files(paths, config)
+    assert render_linked(warm) == render_linked(cold)
+    assert changed >= 1
+    assert counts == {
+        "parses": parts,
+        "parse_units_parsed": changed,
+        "parse_units_reused": total - changed,
+    }, (seed, counts, changed)
+    assert edited_name in report.dirty
 
 
 def test_dirty_set_crosses_the_file_boundary(tmp_path):

@@ -8,6 +8,7 @@ from repro.obs.provenance import (
     ConstantProvenance,
     build_provenance,
 )
+from repro.pipeline import run_entry
 from tests.conftest import TRI_PROGRAM
 
 #: Two call sites passing different literals: the classic killing meet.
@@ -147,7 +148,8 @@ class TestCachedRunCarriesProvenance:
             config = AnalysisConfig()
             result = analyze_source(TRI_PROGRAM, config, engine=engine)
             engine.record_run(
-                TRI_PROGRAM, config, result, build_provenance(result)
+                TRI_PROGRAM, config, result, run_entry(result, {"constants"}),
+                build_provenance(result),
             )
             payload = engine.cached_provenance(TRI_PROGRAM, config)
             assert payload is not None

@@ -183,6 +183,80 @@ def test_provenance_recorded_only_when_explained(sources, tmp_path, capsys):
     assert _scrub(replayed) == cold
 
 
+def test_run_entries_hold_the_rendered_sections(sources, tmp_path, capsys):
+    """A plain cached run records no ``transformed_source``, ``ir`` or
+    ``stats``. A ``--stats`` after it runs live and records the table;
+    the next ``--stats`` replays. An entry keeps what earlier requests
+    recorded under its key: ``--transform``, then ``--dump-ir``, then
+    ``--transform`` replays on the third run, and a live ``repro
+    optimize`` in between keeps both."""
+    import json
+
+    def run(cache, *flags, command="analyze"):
+        parses = metrics.value("parses")
+        argv = [command, sources["tri"], "--cache-dir", str(cache), *flags]
+        assert main(argv) == 0
+        capsys.readouterr()
+        return metrics.value("parses") - parses
+
+    def entry(cache):
+        (path,) = cache.glob("v*/run/*/*.json")
+        return json.loads(path.read_text())["body"]
+
+    first = tmp_path / "first"
+    assert run(first) > 0
+    recorded = entry(first)
+    assert recorded["constants_report"]
+    assert [recorded[k] for k in ("transformed_source", "ir", "stats")] == [
+        None, None, None
+    ]
+    assert run(first) == 0
+    assert run(first, "--stats") > 0, "no table recorded: runs live"
+    assert entry(first)["stats"] is not None
+    assert run(first, "--stats") == 0
+
+    second = tmp_path / "second"
+    assert run(second, "--transform") > 0
+    assert run(second, "--dump-ir") > 0
+    assert run(second, "--transform") == 0
+    assert run(second, command="optimize") > 0
+    assert run(second, "--dump-ir") == 0
+    assert None not in (entry(second)["transformed_source"],
+                        entry(second)["ir"])
+
+
+def test_a_finished_run_leaves_no_program_behind(sources, tmp_path):
+    """Once :func:`repro.pipeline.run` returns, the engine holds neither
+    the analyzed program nor its call graph: a daemon keeps only its
+    cache and parsed units between requests."""
+    import gc
+    import weakref
+
+    from repro import pipeline
+    from repro.config import AnalysisConfig
+    from repro.engine.core import Engine
+
+    programs = []
+
+    class Watched(Engine):
+        def start(self, program, config):
+            programs.append(weakref.ref(program))
+            super().start(program, config)
+
+    engine = Watched(cache_dir=str(tmp_path / "cache"))
+    request = pipeline.Request(AnalysisConfig(), path=sources["tri"],
+                               renders=frozenset({"constants", "ir"}))
+    outcome = pipeline.run(request, engine)
+    assert outcome.ok and outcome.ir and len(programs) == 1
+    gc.collect()
+    assert programs[0]() is None
+    # The parsed units stay: the same text again reuses all of them.
+    assert pipeline.forget(request, engine)
+    parsed = metrics.value("parse_units_parsed")
+    assert pipeline.run(request, engine).ok
+    assert metrics.value("parse_units_parsed") == parsed
+
+
 DAEMON_CASES = [
     ("file-analyze", ["analyze", "{tri}"]),
     ("file-explain", ["explain", "{tri}", "--explain", "g1@bar"]),
@@ -317,7 +391,7 @@ UNCALLED = frozenset({
     "repro.ir.verify", "repro.ir.clone", "repro.ipcp.binding_graph",
     "repro.ipcp.cloning", "repro.ipcp.inlining", "repro.ipcp.stats",
     "repro.analysis.loops", "repro.analysis.ssa_out", "repro.analysis.dce",
-    "repro.profiling", "repro.obs.timeline",
+    "repro.profiling", "repro.obs.timeline", "repro.frontend.unit_memo",
 })
 #: Packages whose ``__init__`` resolves its public names lazily.
 LAZY_PACKAGES = ("repro", "repro.analysis", "repro.frontend", "repro.ipcp",

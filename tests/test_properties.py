@@ -10,11 +10,18 @@ return jump functions, forward jump functions, and the solver.
 Secondary invariants: determinism, the jump-function power hierarchy
 (more powerful kinds never substitute fewer references), and
 configuration monotonicity (removing MOD or return information never
-adds constants).
+loses a constant in live code).
 """
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck,
+    assume,
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 from repro.config import AnalysisConfig, JumpFunctionKind
 from repro.frontend.parser import parse_source
@@ -86,39 +93,77 @@ def test_determinism(seed):
     assert first.constants.total_pairs() == second.constants.total_pairs()
 
 
+def _reference(procedure_name, use):
+    """A source reference: procedure, line, column and variable."""
+    return (procedure_name, use.location.line, use.location.column,
+            use.var.name)
+
+
+def assert_no_live_constant_lost(weaker, stronger, context):
+    """Every reference ``weaker`` substitutes, ``stronger`` substitutes
+    with the same value, unless ``stronger``'s SCCP proves the
+    reference's block unreachable. Comparing counts is too strong: more
+    information can prove code dead, and references in dead code are
+    not substituted (seed 3493: with return functions an IF's ELSE arm
+    is dead, so two references in it stop counting while another
+    gains; seed 4615 loses three the same way, and at seed 4954 the
+    intraprocedural run substitutes two references the interprocedural
+    run proves dead)."""
+    found = {
+        _reference(site.procedure_name, site.use): site.value
+        for site in stronger.substitution.sites
+    }
+    dead = {
+        _reference(name, use)
+        for name, sccp in stronger.substitution.sccp_results.items()
+        for block in sccp.dead_blocks()
+        for instruction in block.instructions
+        for use in instruction.uses()
+        if use.from_source
+    }
+    for site in weaker.substitution.sites:
+        reference = _reference(site.procedure_name, site.use)
+        assert found.get(reference) == site.value or reference in dead, (
+            context, reference, site.value, found.get(reference)
+        )
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
+@example(seed=5062)
+@example(seed=8006)
 def test_jump_function_hierarchy(seed):
-    """§3.1: more powerful jump functions never find fewer constants."""
+    """§3.1: more powerful jump functions never lose a constant in live
+    code (seed 8006: literal jump functions substitute 6 references,
+    the stronger kinds 3, because they prove the block holding the
+    other 3 dead)."""
     source = generate_program(seed, FAST)
-    counts = [
-        analyze_source(
-            source, AnalysisConfig(jump_function=kind)
-        ).substituted_constants
+    results = [
+        analyze_source(source, AnalysisConfig(jump_function=kind))
         for kind in KINDS
     ]
-    for weaker, stronger in zip(counts, counts[1:]):
-        assert weaker <= stronger, (seed, counts)
+    for kind, weaker, stronger in zip(KINDS, results, results[1:]):
+        assert_no_live_constant_lost(weaker, stronger, (seed, kind))
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000))
+@example(seed=3493)
+@example(seed=4615)
+@example(seed=4954)
 def test_information_monotonicity(seed):
-    """Removing MOD or return-function information never adds constants."""
+    """Removing MOD or return-function information never loses a
+    constant in live code."""
     source = generate_program(seed, FAST)
-    full = analyze_source(source).substituted_constants
-    no_mod = analyze_source(
-        source, AnalysisConfig(use_mod=False)
-    ).substituted_constants
-    no_ret = analyze_source(
-        source, AnalysisConfig(use_return_functions=False)
-    ).substituted_constants
-    intra = analyze_source(
-        source, AnalysisConfig.intraprocedural_only()
-    ).substituted_constants
-    assert no_mod <= full
-    assert no_ret <= full
-    assert intra <= full
+    full = analyze_source(source)
+    for weaker in (
+        AnalysisConfig(use_mod=False),
+        AnalysisConfig(use_return_functions=False),
+        AnalysisConfig.intraprocedural_only(),
+    ):
+        assert_no_live_constant_lost(
+            analyze_source(source, weaker), full, (seed, weaker.describe())
+        )
 
 
 @settings(max_examples=15, deadline=None)
