@@ -48,6 +48,7 @@ class CallGraph:
         for site in sites:
             self._out[site.caller].append(site)
             self._in[site.callee].append(site)
+        self._sccs: Optional[List[List[Procedure]]] = None
 
     # -- adjacency ----------------------------------------------------------
 
@@ -89,7 +90,13 @@ class CallGraph:
     def sccs(self) -> List[List[Procedure]]:
         """Strongly connected components (Tarjan), in reverse topological
         order of the condensation: every component appears before any
-        component that calls into it... i.e. callees first."""
+        component that calls into it... i.e. callees first. Computed
+        once per graph (it never changes)."""
+        if self._sccs is None:
+            self._sccs = self._tarjan()
+        return [list(component) for component in self._sccs]
+
+    def _tarjan(self) -> List[List[Procedure]]:
         index_counter = [0]
         indices: Dict[Procedure, int] = {}
         lowlinks: Dict[Procedure, int] = {}

@@ -28,13 +28,27 @@ JSON decode, all proportional to the entry's size — which is why
 ``--explain`` provenance, the bulk of a whole-run outcome, lives in its
 own ``prov`` entry that only explaining requests read.
 
-Namespaces in use: ``ret`` (return jump functions per procedure),
-``fwd`` (forward jump functions per procedure), ``sub`` (substitution
-measurements per procedure), ``run`` (whole-run outcomes keyed on
-source digest + config fingerprint — the ``repro analyze`` fast path),
-``prov`` (the ``--explain`` provenance of a recorded run, under the
-same key as its ``run`` entry), ``opt`` (whole optimization outcomes),
-``man`` (incremental manifests).
+Namespaces in use:
+
+- ``sum`` — one entry per procedure under its member key
+  (:func:`repro.engine.fingerprint.summary_index`): ``{"ret": ...,
+  "fwd": ...}``, its return jump functions and the forward jump
+  functions of its call sites, each half with its demotions. A run
+  that ended before its forward walk, or has none, leaves it
+  return-only; a configuration without return functions writes it
+  forward-only. An edit reads one entry per clean procedure and writes
+  one per rebuilt procedure;
+- ``sub`` — substitution measurements per procedure, under the member
+  key salted with the procedure's CONSTANTS cells and source-location
+  digest;
+- ``run`` — whole-run outcomes keyed on source digest + config
+  fingerprint (the ``repro analyze`` fast path);
+- ``prov`` — the ``--explain`` provenance of a recorded run, under the
+  same key as its ``run`` entry;
+- ``opt`` — whole optimization outcomes;
+- ``man`` — incremental manifests.
+
+Every write creates one file (``mkstemp`` then ``os.replace``).
 
 This is the *cross-run* summary tier; within one run the engine keeps
 summaries as live objects and touches this cache only to read or store

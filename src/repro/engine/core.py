@@ -10,6 +10,18 @@ content-addressed summary cache (:mod:`repro.engine.cache`) keyed by
 Merkle fingerprints (:mod:`repro.engine.fingerprint`), so unchanged
 procedures are never re-analyzed across runs.
 
+The keys hash each procedure's IR before call-effect annotation and
+SSA, so :meth:`Engine.start` computes them right after the call graph
+and MOD/REF, and a procedure is annotated and converted to SSA form
+(:meth:`~repro.ipcp.driver.PreparedProgram.convert`) only when one of
+its summaries misses. A procedure's return and forward summaries are one
+``sum`` cache entry under its key: the return walk reads it, decodes
+both halves and keeps the forward functions for the forward walk, and
+the forward walk writes the entries of the procedures it rebuilt.
+Return summaries still unwritten when a run ends early, or that has no
+forward stage, are written return-only; the forward walk completes such
+an entry.
+
 The engine also keeps parsed program units across runs
 (:mod:`repro.frontend.unit_memo`): the driver and the linker parse
 through :meth:`Engine.parse`, so an edit re-parses only the units it
@@ -30,14 +42,13 @@ per-procedure analysis is serial" in ``docs/PERFORMANCE.md``.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.config import AnalysisConfig
 from repro.engine import fingerprint, summaries
 from repro.engine.cache import SummaryCache
 from repro.engine.fingerprint import _sha
 from repro.frontend.unit_memo import UnitMemo
-from repro.ir.module import Program
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 
@@ -46,6 +57,10 @@ class Engine:
     """One engine instance drives one or more analysis runs, sharing
     its cache and its parsed units across them. With no cache it does
     the plain driver's work."""
+
+    #: The cache namespace of the per-procedure return and forward
+    #: summaries.
+    SUMMARIES = "sum"
 
     def __init__(
         self,
@@ -60,26 +75,42 @@ class Engine:
         #: sets this to its per-request deadline check).
         self.checkpoint: Optional[Callable[[], None]] = None
         self._units = UnitMemo()
-        self._program: Optional[Program] = None
-        self._config: Optional[AnalysisConfig] = None
         self._reset_run()
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, program: Program, config: AnalysisConfig) -> None:
-        """Bind the engine to one analysis run. Per-run state resets
-        here (and again whenever :meth:`_attach` sees a new program),
-        so one engine can serve many runs."""
-        self._program = program
-        self._config = config
+    def start(self, prepared, config: AnalysisConfig) -> None:
+        """Bind the engine to one analysis run of ``prepared`` (a
+        :class:`~repro.ipcp.driver.PreparedProgram` with no procedure
+        converted yet) and, with a cache, compute its summary keys.
+        Per-run state resets here, so one engine can serve many runs."""
         self._reset_run()
+        self._prepared = prepared
+        self._config = config
+        if self.cache is not None:
+            with trace.stage("fingerprint"):
+                self._index = fingerprint.summary_index(
+                    prepared.program, prepared.callgraph, config
+                )
+            self._keys = {
+                name: entry["key"] for name, entry in self._index.items()
+            }
 
     def _reset_run(self) -> None:
-        self._attached: Optional[Program] = None
-        self._keys: Optional[Dict[str, str]] = None
+        self._prepared = None
+        self._config: Optional[AnalysisConfig] = None
         self._index: Optional[Dict[str, Dict[str, str]]] = None
+        self._keys: Dict[str, str] = {}
         self._loc_digests: Dict[str, str] = {}
-        self._callgraph = None
+        #: Procedures whose ``sum`` entry the return walk read (a hit or
+        #: a miss), so the forward walk does not read it again.
+        self._read: Set[str] = set()
+        #: Forward functions and demotions decoded by the return walk,
+        #: added to the table in the forward walk's order.
+        self._forward: Dict[str, Tuple[list, list]] = {}
+        #: Encoded return summaries whose entry is not yet written: built
+        #: this run, or read from a return-only entry.
+        self._returns: Dict[str, dict] = {}
         #: Procedure names whose summaries were actually (re)computed
         #: this run, per stage namespace — the incremental layer's
         #: ground truth that recomputation stayed inside the dirty set.
@@ -92,8 +123,6 @@ class Engine:
         the cache handle and the parsed units stay usable.
         :func:`repro.pipeline.run` calls this once a run's manifest is
         written, so a daemon holds no finished run between requests."""
-        self._program = None
-        self._config = None
         self._reset_run()
 
     def __enter__(self) -> "Engine":
@@ -111,40 +140,13 @@ class Engine:
         (:class:`~repro.frontend.unit_memo.UnitMemo`)."""
         return self._units.parse(text, filename, diagnostics)
 
-    # -- attachment (first stage call) ---------------------------------------
-
-    def _attach(self, program: Program, callgraph, config: AnalysisConfig):
-        """Late binding at the first stage call: the program is prepared
-        (SSA form) by now, so summary keys can be computed. A program
-        the engine has not seen resets all per-run state, so reuse
-        without :meth:`start` is safe."""
-        if self._attached is not program:
-            self._reset_run()
-            self._attached = program
-        self._program = program
-        self._config = config
-        self._callgraph = callgraph
-        if self._keys is None:
-            with trace.stage("fingerprint"):
-                if self.cache is not None:
-                    self._index = fingerprint.summary_index(
-                        program, callgraph, config
-                    )
-                    self._keys = {
-                        name: entry["key"]
-                        for name, entry in self._index.items()
-                    }
-                else:
-                    self._index = None
-                    self._keys = {}
-
     def _check(self) -> None:
         if self.checkpoint is not None:
             self.checkpoint()
 
     # -- stage: return jump functions ----------------------------------------
 
-    def return_functions(self, program, callgraph, modref, config, resilience):
+    def return_functions(self, prepared, config, resilience):
         """Engine version of :func:`repro.ipcp.return_functions.
         build_return_functions`: the same bottom-up walk over
         ``callgraph.sccs()``. A component is served whole from the
@@ -155,43 +157,72 @@ class Engine:
             build_return_functions_for,
         )
 
-        self._attach(program, callgraph, config)
+        program = prepared.program
         return_map = ReturnFunctionMap()
-        for component in callgraph.sccs():
-            self._check()
-            names = [member.name for member in component]
-            cached = self._lookup_members("ret", names)
-            if cached is not None:
-                for name in names:
-                    for encoded in cached[name]["fns"]:
-                        return_map.add(
-                            summaries.decode_return_function(encoded, program)
-                        )
-                    summaries.apply_demotions(cached[name]["dem"], resilience)
-                continue
-            for member in component:
-                mark = len(resilience.demotions)
-                build_return_functions_for(
-                    program, [member], return_map, modref,
-                    budget=config.budget, resilience=resilience,
-                    fault_isolation=config.fault_isolation,
-                )
-                if self.cache is not None:
-                    self._store_member("ret", member.name, {
-                        "fns": summaries.encode_return_functions_of(
-                            return_map, member.name, program
-                        ),
-                        "dem": summaries.encode_demotions(
-                            resilience.demotions[mark:]
-                        ),
-                    })
-                self._note_recomputed("ret", member.name)
+        try:
+            for component in prepared.callgraph.sccs():
+                self._check()
+                cached = self._lookup_component(component, program)
+                if cached is not None:
+                    for member in component:
+                        part = cached[member.name]["ret"]
+                        for encoded in part["fns"]:
+                            return_map.add(summaries.decode_return_function(
+                                encoded, program
+                            ))
+                        summaries.apply_demotions(part["dem"], resilience)
+                    continue
+                for member in component:
+                    prepared.convert(member)
+                for member in component:
+                    mark = len(resilience.demotions)
+                    build_return_functions_for(
+                        program, [member], return_map, prepared.modref,
+                        budget=config.budget, resilience=resilience,
+                        fault_isolation=config.fault_isolation,
+                    )
+                    if self.cache is not None:
+                        self._returns[member.name] = {
+                            "fns": summaries.encode_return_functions_of(
+                                return_map, member.name, program
+                            ),
+                            "dem": summaries.encode_demotions(
+                                resilience.demotions[mark:]
+                            ),
+                        }
+                    self._note_recomputed("ret", member.name)
+        except BaseException:
+            self._write_returns()
+            raise
+        if not config.interprocedural:
+            self._write_returns()
         return return_map
+
+    def _lookup_component(self, component,
+                          program) -> Optional[Dict[str, dict]]:
+        """All-or-nothing lookup of one SCC's return summaries: a
+        component's members are built together, so a partial hit is
+        recomputed whole. Every entry read keeps its forward half (or,
+        return-only, its return half) for the forward walk."""
+        found: Dict[str, dict] = {}
+        for member in component:
+            name = member.name
+            self._read.add(name)
+            entry = self._get(name)
+            if entry is None or "ret" not in entry:
+                return None
+            if "fwd" in entry:
+                self._forward[name] = self._decode_forward(
+                    entry["fwd"], member, program
+                )
+            else:
+                self._returns[name] = entry["ret"]
+            found[name] = entry
+        return found
 
     # -- stage: forward jump functions ---------------------------------------
 
-    def forward_functions(self, program, callgraph, config, return_map,
-                          resilience):
+    def forward_functions(self, prepared, config, return_map, resilience):
         """Engine version of :func:`repro.ipcp.jump_functions.
         build_forward_jump_functions`: the same top-down walk, one
         procedure's call sites at a time."""
@@ -200,41 +231,65 @@ class Engine:
             build_forward_jump_functions_for,
         )
 
-        self._attach(program, callgraph, config)
+        program = prepared.program
         table = JumpFunctionTable(config.jump_function)
-        for procedure in callgraph.top_down_order():
-            self._check()
-            name = procedure.name
-            cached = self._lookup_member("fwd", name)
-            if cached is not None:
-                for encoded in cached["fns"]:
-                    table.add(
-                        summaries.decode_forward_function(encoded, program)
-                    )
-                summaries.apply_demotions(cached["dem"], resilience)
-                continue
-            mark = len(resilience.demotions)
-            build_forward_jump_functions_for(
-                program, procedure, config.jump_function, table, return_map,
-                gcp_oracle=config.gcp_oracle, budget=config.budget,
-                resilience=resilience,
-                fault_isolation=config.fault_isolation,
-            )
-            if self.cache is not None:
-                self._store_member("fwd", name, {
-                    "fns": summaries.encode_forward_functions_of(
-                        table, procedure, program
-                    ),
-                    "dem": summaries.encode_demotions(
-                        resilience.demotions[mark:]
-                    ),
-                })
-            self._note_recomputed("fwd", name)
+        try:
+            for procedure in prepared.callgraph.top_down_order():
+                self._check()
+                name = procedure.name
+                decoded = self._forward.pop(name, None)
+                if decoded is None and name not in self._read:
+                    entry = self._get(name)
+                    if entry is not None and "fwd" in entry:
+                        decoded = self._decode_forward(
+                            entry["fwd"], procedure, program
+                        )
+                    elif entry is not None and "ret" in entry:
+                        self._returns[name] = entry["ret"]
+                if decoded is not None:
+                    functions, demotions = decoded
+                    for function in functions:
+                        table.add(function)
+                    summaries.apply_demotions(demotions, resilience)
+                    # Its entry already holds the return half.
+                    self._returns.pop(name, None)
+                    continue
+                prepared.convert(procedure)
+                mark = len(resilience.demotions)
+                build_forward_jump_functions_for(
+                    program, procedure, config.jump_function, table,
+                    return_map, gcp_oracle=config.gcp_oracle,
+                    budget=config.budget, resilience=resilience,
+                    fault_isolation=config.fault_isolation,
+                )
+                if self.cache is not None:
+                    self._put(name, self._returns.pop(name, None), {
+                        "fns": summaries.encode_forward_functions_of(
+                            table, procedure, program
+                        ),
+                        "dem": summaries.encode_demotions(
+                            resilience.demotions[mark:]
+                        ),
+                    })
+                self._note_recomputed("fwd", name)
+        finally:
+            self._forward.clear()
+            self._write_returns()
         return table
+
+    @staticmethod
+    def _decode_forward(part: dict, procedure,
+                        program) -> Tuple[list, list]:
+        calls = procedure.call_sites()
+        return (
+            [summaries.decode_forward_function(encoded, program, calls)
+             for encoded in part["fns"]],
+            part["dem"],
+        )
 
     # -- stage: substitution measurement -------------------------------------
 
-    def substitution(self, program, callgraph, constants, call_model, config,
+    def substitution(self, prepared, constants, call_model, config,
                      resilience):
         """Engine version of :func:`repro.ipcp.substitution.
         measure_substitution`, in program order. A report served from
@@ -246,7 +301,7 @@ class Engine:
             measure_substitution_for,
         )
 
-        self._attach(program, callgraph, config)
+        program = prepared.program
         constants_payload = (
             summaries.encode_constants(constants, program)
             if self.cache is not None
@@ -256,7 +311,7 @@ class Engine:
         for procedure in program:
             self._check()
             name = procedure.name
-            key = self._substitution_key(name, constants_payload)
+            key = self._substitution_key(procedure, constants_payload)
             cached = self.cache.get("sub", key) if key is not None else None
             if cached is not None:
                 obs_metrics.inc("summary_cache_hits")
@@ -265,6 +320,7 @@ class Engine:
                 )
                 summaries.apply_demotions(cached["dem"], resilience)
                 continue
+            prepared.convert(procedure)
             mark = len(resilience.demotions)
             first_site = len(report.sites)
             measure_substitution_for(
@@ -292,10 +348,11 @@ class Engine:
         self.recomputed[namespace].append(name)
         obs_metrics.inc(f"recomputed_{namespace}")
 
-    def _lookup_member(self, namespace: str, name: str) -> Optional[dict]:
+    def _get(self, name: str) -> Optional[dict]:
+        """The ``sum`` entry of ``name``, or None (also with no cache)."""
         if self.cache is None:
             return None
-        data = self.cache.get(namespace, self._keys[name])
+        data = self.cache.get(self.SUMMARIES, self._keys[name])
         if data is not None:
             obs_metrics.inc("summary_cache_hits")
         else:
@@ -303,31 +360,29 @@ class Engine:
         if trace.ENABLED:
             trace.instant(
                 "cache.hit" if data is not None else "cache.miss",
-                namespace=namespace, procedure=name,
+                namespace=self.SUMMARIES, procedure=name,
             )
         return data
 
-    def _lookup_members(
-        self, namespace: str, names: List[str]
-    ) -> Optional[Dict[str, dict]]:
-        """All-or-nothing lookup of one SCC: a component's members are
-        built together, so a partial hit is recomputed whole."""
-        if self.cache is None:
-            return None
-        found: Dict[str, dict] = {}
-        for name in names:
-            data = self._lookup_member(namespace, name)
-            if data is None:
-                return None
-            found[name] = data
-        return found
-
-    def _store_member(self, namespace: str, name: str, data: dict) -> None:
-        self.cache.put(namespace, self._keys[name], data)
+    def _put(self, name: str, ret: Optional[dict],
+             fwd: Optional[dict]) -> None:
+        entry = {}
+        if ret is not None:
+            entry["ret"] = ret
+        if fwd is not None:
+            entry["fwd"] = fwd
+        self.cache.put(self.SUMMARIES, self._keys[name], entry)
         obs_metrics.inc("summary_cache_stores")
 
+    def _write_returns(self) -> None:
+        """Write the return summaries no forward walk completed, as
+        return-only entries."""
+        returns, self._returns = self._returns, {}
+        for name, ret in returns.items():
+            self._put(name, ret, None)
+
     def _substitution_key(
-        self, name: str, constants_payload: Optional[dict]
+        self, procedure, constants_payload: Optional[dict]
     ) -> Optional[str]:
         """Substitution depends on the callee summaries (the member key)
         *and* on the procedure's CONSTANTS cells — which reflect the
@@ -340,11 +395,10 @@ class Engine:
         untouched."""
         if self.cache is None:
             return None
+        name = procedure.name
         location = self._loc_digests.get(name)
         if location is None:
-            location = fingerprint.location_digest(
-                self._program.procedure(name)
-            )
+            location = fingerprint.location_digest(procedure)
             self._loc_digests[name] = location
         return _sha(
             ["sub", self._keys[name], location,
@@ -369,7 +423,7 @@ class Engine:
         key = incremental.manifest_key(path, self._config)
         previous = self.cache.get(incremental.MANIFEST_NAMESPACE, key)
         report = incremental.diff_manifest(
-            path, previous, self._index, self._callgraph
+            path, previous, self._index, self._prepared.callgraph
         )
         self.cache.put(
             incremental.MANIFEST_NAMESPACE,

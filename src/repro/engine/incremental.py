@@ -14,18 +14,20 @@ config) snapshot of the :func:`repro.engine.fingerprint.summary_index`
 the ``man`` namespace after every engine run. Diffing the previous
 manifest against the current index classifies every procedure:
 
-- **edited** — its own post-SSA IR digest changed (the procedure body,
-  its interface, or its call sites' MOD/REF annotations differ);
+- **edited** — its own digest changed (its lowered IR, its interface,
+  the COMMON members it declares, or the program's scalar globals);
 - **downstream** — digest unchanged but Merkle key changed: some
-  transitive *callee* was edited, so this procedure's summaries may
-  evaluate differently. (Keys fold callee keys into callers, so "key
-  changed, digest same" is exactly "transitive caller of an edit".)
+  transitive *callee* was edited (which may change its MOD set, and so
+  this procedure's call-effect annotation), so this procedure's
+  summaries may evaluate differently. (Keys fold callee keys into
+  callers, so "key changed, digest same" is exactly "transitive caller
+  of an edit".)
 - **added** / **removed** — present on only one side;
 - **clean** — digest and key both unchanged: every summary is served
   from the cache.
 
 The dirty set (edited + downstream + added) is what the engine's
-``ret``/``fwd`` stages recompute on a warm run; the
+return and forward stages recompute on a warm run; the
 :class:`InvalidationReport` renders it (CLI ``--explain-invalidation``)
 and the tests assert the engine's recomputed-procedure counters match
 it exactly.
@@ -177,7 +179,7 @@ def diff_manifest(
             report.reasons[name] = "procedure is new"
         elif before["digest"] != entry["digest"]:
             report.edited.append(name)
-            report.reasons[name] = "post-SSA IR changed"
+            report.reasons[name] = "lowered IR changed"
         elif before["key"] != entry["key"]:
             report.downstream.append(name)
             culprits = sorted(

@@ -32,7 +32,7 @@ from repro.ipcp.resilience import Demotion, ResilienceReport
 from repro.ipcp.return_functions import ReturnFunctionMap, ReturnJumpFunction
 from repro.ipcp.solver import entry_domain
 from repro.ipcp.substitution import SubstitutionReport, SubstitutionSite
-from repro.ir.instructions import Use
+from repro.ir.instructions import Call, Use
 from repro.ir.module import Procedure, Program
 from repro.ir.symbols import Variable
 from repro.lattice import BOTTOM, TOP, LatticeValue, const
@@ -187,12 +187,15 @@ def encode_forward_function(
     return data
 
 
-def decode_forward_function(data: dict, program: Program) -> ForwardJumpFunction:
-    caller = program.procedure(data["call"][0])
-    call = caller.call_sites()[data["call"][1]]
+def decode_forward_function(
+    data: dict, program: Program, calls: List[Call]
+) -> ForwardJumpFunction:
+    """Decode one function of the caller whose ``call_sites()`` are
+    ``calls`` (every function of one caller shares that list, so its
+    caller builds it once)."""
     fn = ForwardJumpFunction(
         kind=JumpFunctionKind(data["k"]),
-        call=call,
+        call=calls[data["call"][1]],
         target=resolve_varref(data["t"], program),
     )
     if "c" in data:

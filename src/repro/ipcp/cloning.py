@@ -24,7 +24,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.callgraph.callgraph import CallGraph, CallSite, build_call_graph
 from repro.config import AnalysisConfig
-from repro.ipcp.driver import AnalysisResult, analyze_prepared, prepare_program
+from repro.ipcp.driver import (
+    AnalysisResult,
+    PreparedProgram,
+    analyze_prepared,
+    prepare_program,
+)
 from repro.ipcp.solver import entry_domain
 from repro.ir.clone import clone_procedure
 from repro.ir.module import Procedure, Program
@@ -121,7 +126,9 @@ def clone_for_constants(
     """
     config = config or AnalysisConfig()
     callgraph, modref = prepare_program(program, config)
-    base = analyze_prepared(program, callgraph, modref, config)
+    base = analyze_prepared(
+        PreparedProgram(program, callgraph, modref), config
+    )
 
     plan = _cloning_plan(base, max_clones_per_procedure)
     report = CloningReport(base=base, final=base)
@@ -145,7 +152,9 @@ def clone_for_constants(
         from repro.ir.verify import verify_program
 
         verify_program(program, ssa=True, stage="procedure cloning")
-    report.final = analyze_prepared(program, new_callgraph, modref, config)
+    report.final = analyze_prepared(
+        PreparedProgram(program, new_callgraph, modref), config
+    )
     return report
 
 

@@ -54,13 +54,16 @@ def run_complete_propagation(
     still changing keeps the last (sound) propagation and records a
     demotion on ``resilience``.
     """
-    from repro.ipcp.driver import analyze_prepared  # circular-by-layering
+    # circular-by-layering
+    from repro.ipcp.driver import PreparedProgram, analyze_prepared
 
     max_rounds = config.budget.dce_rounds
     rounds = 0
     exhausted = False
     while True:
-        result = analyze_prepared(program, callgraph, modref, config, resilience)
+        result = analyze_prepared(
+            PreparedProgram(program, callgraph, modref), config, resilience
+        )
         if rounds >= max_rounds:
             exhausted = rounds > 0 or max_rounds == 0
             break

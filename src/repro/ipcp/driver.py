@@ -10,12 +10,19 @@ for one :class:`~repro.config.AnalysisConfig`:
 Complete propagation (``config.complete``) extends the tail with
 substitute -> DCE -> re-propagate iterations
 (:mod:`repro.ipcp.complete`).
+
+With an engine (:class:`repro.engine.Engine`), the front half stops
+after the call graph and MOD/REF: a procedure gets its call-effect
+annotation and SSA form only when one of its summaries misses the
+engine's cache (:class:`PreparedProgram`), and every reader of the
+whole program's IR (:attr:`AnalysisResult.program`, GSA refinement,
+``--verify-ir``) first completes the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.analysis.sccp import SCCPCallModel
 from repro.analysis.ssa import construct_ssa
@@ -43,9 +50,55 @@ from repro.ipcp.substitution import (
     render_transformed_source,
 )
 from repro.ir.lowering import lower_module
-from repro.ir.module import Program
+from repro.ir.module import Procedure, Program
+from repro.obs import metrics
 from repro.obs.trace import stage
 from repro.summary.modref import ModRefInfo, annotate_call_effects, compute_modref
+
+
+class PreparedProgram:
+    """A program after the front half of the pipeline: the call graph
+    and MOD/REF of the whole program, and each procedure's call-effect
+    annotation and SSA form.
+
+    :func:`prepare_program` converts every procedure at once. The
+    engine's path converts one procedure when one of its summaries
+    misses (:meth:`convert`) and leaves the rest to :meth:`complete`.
+    A procedure's conversion reads only its own IR, its callees'
+    formals and MOD/REF, so converting in any order yields exactly the
+    program that converting all at once does.
+    """
+
+    def __init__(self, program: Program, callgraph: CallGraph,
+                 modref: Optional[ModRefInfo],
+                 pending: Iterable[Procedure] = ()):
+        self.program = program
+        self.callgraph = callgraph
+        self.modref = modref
+        #: Procedures not yet annotated and converted, in program order.
+        self._pending: Dict[str, Procedure] = {p.name: p for p in pending}
+
+    def convert(self, procedure: Procedure) -> None:
+        """Annotate ``procedure`` and convert it to SSA form, once."""
+        if self._pending.pop(procedure.name, None) is not None:
+            self._convert([procedure])
+
+    def complete(self) -> Program:
+        """The whole program, every procedure annotated and in SSA
+        form."""
+        if self._pending:
+            procedures = list(self._pending.values())
+            self._pending.clear()
+            self._convert(procedures)
+        return self.program
+
+    def _convert(self, procedures) -> None:
+        annotate_call_effects(
+            self.program, self.callgraph, self.modref, procedures
+        )
+        for procedure in procedures:
+            construct_ssa(procedure)
+        metrics.inc("ssa_procedures", len(procedures))
 
 
 @dataclass
@@ -53,7 +106,7 @@ class AnalysisResult:
     """Everything one analysis run produced."""
 
     config: AnalysisConfig
-    program: Program
+    prepared: PreparedProgram
     callgraph: CallGraph
     modref: Optional[ModRefInfo]
     return_functions: ReturnFunctionMap
@@ -69,15 +122,35 @@ class AnalysisResult:
     diagnostics: Optional[DiagnosticEngine] = None
 
     @property
+    def program(self) -> Program:
+        """The analyzed program, every procedure in SSA form. On the
+        engine's path the first read converts the procedures no summary
+        needed, so every reader sees a cold run's program; the
+        CONSTANTS answer, the counts and the transformed source read no
+        IR and convert nothing."""
+        return self.prepared.complete()
+
+    @property
     def substituted_constants(self) -> int:
         """The headline number: source references substituted."""
         return self.substitution.total
 
     def transformed_source(self) -> str:
         """The original program with constants textually substituted."""
-        if self.program.source is None:
+        source = self.prepared.program.source
+        if source is None:
             raise ValueError("program was not built from source text")
-        return render_transformed_source(self.program.source, self.substitution)
+        return render_transformed_source(source, self.substitution)
+
+
+def prepare(program: Program, config: AnalysisConfig) -> PreparedProgram:
+    """The call graph and MOD/REF of a freshly lowered program, whose
+    procedures the returned :class:`PreparedProgram` annotates and
+    converts to SSA form (mutating ``program``) on demand or all at
+    once."""
+    callgraph = build_call_graph(program)
+    modref = compute_modref(program, callgraph) if config.use_mod else None
+    return PreparedProgram(program, callgraph, modref, pending=program)
 
 
 def prepare_program(
@@ -86,23 +159,18 @@ def prepare_program(
     """Shared front half: call graph, MOD/REF, call-effect annotation,
     SSA conversion. Mutates ``program`` (which must be freshly lowered
     and not yet in SSA form)."""
-    callgraph = build_call_graph(program)
-    modref = compute_modref(program, callgraph) if config.use_mod else None
-    annotate_call_effects(program, callgraph, modref)
-    for procedure in program:
-        construct_ssa(procedure)
-    return callgraph, modref
+    prepared = prepare(program, config)
+    prepared.complete()
+    return prepared.callgraph, prepared.modref
 
 
 def analyze_prepared(
-    program: Program,
-    callgraph: CallGraph,
-    modref: Optional[ModRefInfo],
+    prepared: PreparedProgram,
     config: AnalysisConfig,
     resilience: Optional[ResilienceReport] = None,
     engine=None,
 ) -> AnalysisResult:
-    """Back half of the pipeline, on an SSA-form annotated program.
+    """Back half of the pipeline, on a prepared program.
 
     Factored out so complete propagation can re-run it after dead-code
     elimination without reconstructing SSA. ``resilience`` collects
@@ -110,11 +178,16 @@ def analyze_prepared(
     and budget overruns degrade individual components instead of
     aborting (see :mod:`repro.ipcp.resilience`).
 
-    With an ``engine`` (:class:`repro.engine.Engine`), the three
-    per-procedure stages — return functions, forward functions,
-    substitution — run through its cached equivalents; the results are
-    byte-identical to the plain builders.
+    With an ``engine`` (:class:`repro.engine.Engine`, started on
+    ``prepared``), the three per-procedure stages — return functions,
+    forward functions, substitution — run through its cached
+    equivalents, which convert a procedure to SSA form only to rebuild
+    one of its summaries; the results are byte-identical to the plain
+    builders. Without one, ``prepared`` must be complete.
     """
+    program, callgraph, modref = (
+        prepared.program, prepared.callgraph, prepared.modref
+    )
     resilience = resilience if resilience is not None else ResilienceReport()
     budget = config.budget
     with stage("return_functions"):
@@ -122,7 +195,7 @@ def analyze_prepared(
             return_map = ReturnFunctionMap()
         elif engine is not None:
             return_map = engine.return_functions(
-                program, callgraph, modref, config, resilience
+                prepared, config, resilience
             )
         else:
             return_map = build_return_functions(
@@ -137,7 +210,7 @@ def analyze_prepared(
         with stage("forward_functions"):
             if engine is not None:
                 jump_table = engine.forward_functions(
-                    program, callgraph, config, return_map, resilience
+                    prepared, config, return_map, resilience
                 )
             else:
                 jump_table = build_forward_jump_functions(
@@ -154,6 +227,7 @@ def analyze_prepared(
             )
         constants = propagation.constants
         if config.gsa_refinement:
+            prepared.complete()
             jump_table, propagation = _refine_gsa_style(
                 program, callgraph, config, return_map, constants,
                 jump_table, propagation, resilience,
@@ -171,7 +245,7 @@ def analyze_prepared(
             call_model = SCCPCallModel()
         if engine is not None:
             substitution = engine.substitution(
-                program, callgraph, constants, call_model, config, resilience
+                prepared, constants, call_model, config, resilience
             )
         else:
             substitution = measure_substitution(
@@ -182,7 +256,7 @@ def analyze_prepared(
 
     return AnalysisResult(
         config=config,
-        program=program,
+        prepared=prepared,
         callgraph=callgraph,
         modref=modref,
         return_functions=return_map,
@@ -267,28 +341,34 @@ def analyze_program(
     the same program under another configuration.
 
     ``engine`` caches the per-procedure stages (see
-    :func:`analyze_prepared`). Complete propagation re-runs the pipeline
-    on programs it mutates between rounds, which would defeat every
-    content-keyed cache — it always runs without the engine.
+    :func:`analyze_prepared`); it is started on the program right after
+    the call graph and MOD/REF, before any procedure is converted.
+    Complete propagation re-runs the pipeline on programs it mutates
+    between rounds, which would defeat every content-keyed cache — it
+    always runs without the engine.
     """
     config = config or AnalysisConfig()
     resilience = resilience if resilience is not None else ResilienceReport()
-    if engine is not None and not config.complete:
-        engine.start(program, config)
+    if config.complete:
+        engine = None
     _maybe_verify(program, config, ssa=False, stage="lowering")
     with stage("prepare"):
-        callgraph, modref = prepare_program(program, config)
-    _maybe_verify(program, config, ssa=True, stage="SSA construction")
+        prepared = prepare(program, config)
+        if engine is None:
+            prepared.complete()
+        else:
+            engine.start(prepared, config)
+    if config.verify_ir:
+        prepared.complete()
+        _maybe_verify(program, config, ssa=True, stage="SSA construction")
     if config.complete:
         # Imported here: complete.py uses analyze_prepared from this module.
         from repro.ipcp.complete import run_complete_propagation
 
         return run_complete_propagation(
-            program, callgraph, modref, config, resilience
+            program, prepared.callgraph, prepared.modref, config, resilience
         )
-    return analyze_prepared(
-        program, callgraph, modref, config, resilience, engine=engine
-    )
+    return analyze_prepared(prepared, config, resilience, engine=engine)
 
 
 def analyze_source(

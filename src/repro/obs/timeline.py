@@ -17,8 +17,8 @@ Stage timings come from the one stage recorder,
 :func:`repro.obs.trace.stage`: the daemon pushes the request's timeline
 as a stage sink on its dispatcher thread, so stage attribution is exact
 even with concurrent requests in flight. Nested stages (``fingerprint``
-runs inside ``return_functions``) are recorded raw but left out of the
-bucket sums, so buckets never double-count.
+runs inside ``prepare``) are recorded raw but left out of the bucket
+sums, so buckets never double-count.
 
 Completed timelines land in a :class:`TimelineRing` — the fixed-size
 time series behind ``repro top`` and the daemon's ``obs`` protocol op.

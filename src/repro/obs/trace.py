@@ -15,7 +15,7 @@ format specifies.
 (:func:`push_sink`: ``--profile``'s ``PipelineProfile``, the daemon's
 ``RequestTimeline``) and, while tracing, writes the ``stage.<name>``
 span from the same clock readings. ``nested`` marks a stage opened
-inside another one (``fingerprint`` inside ``return_functions``).
+inside another one (``fingerprint`` inside ``prepare``).
 
 Zero-cost-when-disabled contract (bench-gated in
 ``benchmarks/test_bench_pipeline.py``):

@@ -21,7 +21,7 @@ global and every bindable actual.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.callgraph.callgraph import CallGraph
 from repro.ir.instructions import Call, Def, Return, Use
@@ -140,8 +140,11 @@ def annotate_call_effects(
     program: Program,
     callgraph: CallGraph,
     modref: Optional[ModRefInfo] = None,
+    procedures: Optional[Iterable[Procedure]] = None,
 ) -> None:
-    """Stamp every Call with its may-define set and entry uses.
+    """Stamp every Call with its may-define set and entry uses (only
+    those of ``procedures``, when given: a procedure's annotation reads
+    its callees' formals and MOD sets, never their bodies).
 
     - ``may_define``: Defs for each scalar the call may write — with MOD
       information, the callee's modified globals plus bindable actuals
@@ -159,7 +162,7 @@ def annotate_call_effects(
     replaces earlier slots, which is only safe pre-SSA).
     """
     scalar_globals = program.scalar_globals()
-    for procedure in program:
+    for procedure in program if procedures is None else procedures:
         observable = [f for f in procedure.formals if f.is_scalar]
         observable.extend(scalar_globals)
         for instruction in procedure.cfg.instructions():

@@ -228,7 +228,7 @@ class TestBatchCli:
             == 0
         )
         out = capsys.readouterr().out
-        assert "edited      p: post-SSA IR changed" in out
+        assert "edited      p: lowered IR changed" in out
         assert "downstream  main: calls dirty procedure(s): p" in out
 
     def test_profile_json_written(self, programs, tmp_path, capsys):

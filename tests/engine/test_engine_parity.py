@@ -10,7 +10,8 @@ import pytest
 from repro.config import AnalysisBudget, AnalysisConfig
 from repro.engine import Engine, fingerprint, summaries
 from repro.engine.cache import SummaryCache
-from repro.ipcp.driver import analyze_source, prepare_program
+from repro.callgraph.callgraph import build_call_graph
+from repro.ipcp.driver import analyze_source
 from repro.suite.generator import GeneratorConfig, generate_case
 from repro.suite.programs import SUITE_PROGRAM_NAMES, program_source
 
@@ -124,17 +125,24 @@ class TestRecursiveComponents:
         assert_cold_and_warm_match(RECURSIVE[shape], str(tmp_path))
 
     def test_partial_component_hit_rebuilds_the_component(self, tmp_path):
+        """Deleting ``b``'s entry rebuilds the return summaries of its
+        whole component and ``b``'s forward functions (they share the
+        entry); ``a``'s forward functions still come from ``a``'s."""
         text = RECURSIVE["mutual"]
         plain = assert_cold_and_warm_match(text, str(tmp_path))
         program = lower(text, filename="<string>")
         config = AnalysisConfig()
-        callgraph, _ = prepare_program(program, config)
-        keys = fingerprint.summary_index(program, callgraph, config)
-        assert SummaryCache(str(tmp_path)).delete("ret", keys["b"]["key"])
+        # Keys hash the IR before annotation and SSA.
+        keys = fingerprint.summary_index(
+            program, build_call_graph(program), config
+        )
+        assert SummaryCache(str(tmp_path)).delete(
+            Engine.SUMMARIES, keys["b"]["key"]
+        )
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint_run(text, engine=engine) == plain
             assert sorted(engine.recomputed["ret"]) == ["a", "b"]
-            assert engine.recomputed["fwd"] == []
+            assert engine.recomputed["fwd"] == ["b"]
 
 
 class TestEngineReuse:

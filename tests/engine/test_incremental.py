@@ -27,6 +27,7 @@ from repro.engine.incremental import (
 )
 from repro.ipcp.driver import analyze_file
 from repro.ir.printer import format_program
+from repro.obs import metrics
 from repro.suite.generator import GeneratorConfig, generate_program
 
 GEN_CONFIG = GeneratorConfig(procedures=5)
@@ -187,10 +188,13 @@ def test_incremental_matches_cold_and_touches_only_dirty_set(seed, tmp_path):
     # Incremental warm run of the edited program.
     path.write_text(edited_source)
     with Engine(cache_dir=str(cache_dir)) as engine:
+        before = metrics.snapshot()
         warm = analyze_file(str(path), config, engine=engine)
+        converted = ssa_built(before)
         report = engine.finish_incremental(str(path))
         recomputed_ret = set(engine.recomputed["ret"])
         recomputed_fwd = set(engine.recomputed["fwd"])
+        recomputed = rebuilt(engine)
 
     # Cold full run of the edited program, no engine at all.
     cold = analyze_file(str(path), config)
@@ -207,6 +211,8 @@ def test_incremental_matches_cold_and_touches_only_dirty_set(seed, tmp_path):
     assert recomputed_fwd == dirty, (seed, recomputed_fwd, dirty)
     assert set(report.clean).isdisjoint(recomputed_ret | recomputed_fwd)
     assert set(report.clean) | dirty == {p.name for p in warm.program}
+    # SSA was built for exactly the procedures a summary was rebuilt for.
+    assert converted == len(recomputed), (seed, converted, recomputed)
 
 
 def changed_chunks(before: str, after: str):
@@ -217,6 +223,18 @@ def changed_chunks(before: str, after: str):
 
     chunks = split_chunks(after)
     return len(set(chunks) - set(split_chunks(before))), len(chunks)
+
+
+def ssa_built(before: dict) -> int:
+    """Procedures converted to SSA form since the ``before`` snapshot."""
+    from repro.obs import metrics
+
+    return metrics.delta_since(before)["counters"].get("ssa_procedures", 0)
+
+
+def rebuilt(engine) -> set:
+    """Every procedure one of whose summaries the engine recomputed."""
+    return set().union(*engine.recomputed.values())
 
 
 def parse_counters(before: dict) -> dict:
@@ -234,8 +252,6 @@ def test_one_engine_across_the_edit_matches_cold(seed, tmp_path):
     """The same edit scripts through ONE engine, which keeps the units
     it parsed from the original text: output is still byte-identical
     to a cold engine-less run, and only the changed chunks re-parse."""
-    from repro.obs import metrics
-
     source = generate_program(seed, GEN_CONFIG)
     edited_source, edited_name = apply_edit(source, seed)
     config = AnalysisConfig()
@@ -248,8 +264,10 @@ def test_one_engine_across_the_edit_matches_cold(seed, tmp_path):
         before = metrics.snapshot()
         warm = analyze_file(str(path), config, engine=engine)
         counts = parse_counters(before)
+        converted = ssa_built(before)
         report = engine.finish_incremental(str(path))
         recomputed_ret = set(engine.recomputed["ret"])
+        recomputed = rebuilt(engine)
     cold = analyze_file(str(path), config)
 
     assert render(warm) == render(cold)
@@ -262,6 +280,7 @@ def test_one_engine_across_the_edit_matches_cold(seed, tmp_path):
     }, (seed, counts, changed)
     assert edited_name in report.dirty
     assert recomputed_ret == set(report.dirty)
+    assert converted == len(recomputed), (seed, converted, recomputed)
 
 
 def test_clean_rerun_recomputes_nothing(tmp_path):

@@ -241,10 +241,11 @@ class TestForwardFunctionCodec:
     def test_roundtrip(self):
         program, callgraph, _, table = built()
         for procedure in program:
+            calls = procedure.call_sites()
             for encoded in summaries.encode_forward_functions_of(
                 table, procedure, program
             ):
-                fn = summaries.decode_forward_function(encoded, program)
+                fn = summaries.decode_forward_function(encoded, program, calls)
                 original = table.lookup(fn.call, fn.target)
                 assert original is not None
                 assert fn.kind == original.kind
@@ -262,8 +263,11 @@ class TestForwardFunctionCodec:
             summaries.encode_forward_functions_of(table, caller, program),
             tmp_path,
         )
-        originals = table.for_call(caller.call_sites()[0])
-        decoded = [summaries.decode_forward_function(d, program) for d in data]
+        calls = caller.call_sites()
+        originals = table.for_call(calls[0])
+        decoded = [
+            summaries.decode_forward_function(d, program, calls) for d in data
+        ]
         assert len(decoded) == len(originals) == 5
         for fn, original in zip(decoded, originals):
             assert fn.kind is kind
@@ -431,8 +435,10 @@ class TestSuiteProgramsAcrossRuns:
                 ),
                 tmp_path / procedure.name,
             )
+            calls = theirs.procedure(procedure.name).call_sites()
             decoded = [
-                summaries.decode_forward_function(d, theirs) for d in data
+                summaries.decode_forward_function(d, theirs, calls)
+                for d in data
             ]
             expected = [
                 fn

@@ -20,6 +20,7 @@ from repro.config import AnalysisConfig
 from repro.engine import Engine
 from repro.ir.printer import format_program
 from repro.linkage import analyze_linked_files, project_label
+from repro.obs import metrics
 from repro.oracle.partition import split_program
 from repro.suite.generator import GeneratorConfig, generate_program
 from tests.engine.test_incremental import (
@@ -27,6 +28,8 @@ from tests.engine.test_incremental import (
     callers_closure,
     changed_chunks,
     parse_counters,
+    rebuilt,
+    ssa_built,
 )
 
 GEN_CONFIG = GeneratorConfig(procedures=5)
@@ -94,11 +97,14 @@ def test_cross_file_incremental_matches_cold_and_touches_only_dirty(
     write_project(tmp_path, edited_files)
 
     with Engine(cache_dir=cache_dir) as engine:
+        before = metrics.snapshot()
         warm, link = analyze_linked_files(paths, config, engine=engine)
+        converted = ssa_built(before)
         assert link.ok, link.diagnostics.format()
         report = engine.finish_incremental(label)
         recomputed_ret = set(engine.recomputed["ret"])
         recomputed_fwd = set(engine.recomputed["fwd"])
+        recomputed = rebuilt(engine)
 
     cold, _ = analyze_linked_files(paths, config)
     assert render_linked(warm) == render_linked(cold)
@@ -112,6 +118,7 @@ def test_cross_file_incremental_matches_cold_and_touches_only_dirty(
     assert recomputed_fwd == dirty, (seed, recomputed_fwd, dirty)
     assert set(report.clean).isdisjoint(recomputed_ret | recomputed_fwd)
     assert set(report.clean) | dirty == {p.name for p in warm.program}
+    assert converted == len(recomputed), (seed, converted, recomputed)
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -119,8 +126,6 @@ def test_one_engine_across_the_edit_matches_cold(seed, tmp_path):
     """The same partitions and edits through ONE engine, which keeps
     every file's parsed units: byte-identical to a cold linked run, and
     only the changed chunks of the edited file re-parse."""
-    from repro.obs import metrics
-
     source = generate_program(seed, GEN_CONFIG)
     parts = 2 + seed % 3
     config = AnalysisConfig()
@@ -142,8 +147,10 @@ def test_one_engine_across_the_edit_matches_cold(seed, tmp_path):
         before = metrics.snapshot()
         warm, link = analyze_linked_files(paths, config, engine=engine)
         counts = parse_counters(before)
+        converted = ssa_built(before)
         assert link.ok, link.diagnostics.format()
         report = engine.finish_incremental(project_label(paths))
+        recomputed = rebuilt(engine)
 
     cold, _ = analyze_linked_files(paths, config)
     assert render_linked(warm) == render_linked(cold)
@@ -154,6 +161,7 @@ def test_one_engine_across_the_edit_matches_cold(seed, tmp_path):
         "parse_units_reused": total - changed,
     }, (seed, counts, changed)
     assert edited_name in report.dirty
+    assert converted == len(recomputed), (seed, converted, recomputed)
 
 
 def test_dirty_set_crosses_the_file_boundary(tmp_path):

@@ -148,7 +148,7 @@ class TestProfileMatchesTrace:
             assert abs(entry["seconds"] - sum(spans[name]) / 1e6) <= (
                 1e-6 * entry["calls"]
             ), name
-        # fingerprint runs inside return_functions: counted once
+        # fingerprint runs inside prepare: counted once
         outermost = sum(
             entry["seconds"] for name, entry in stages.items()
             if name != "fingerprint"

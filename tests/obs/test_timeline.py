@@ -34,7 +34,7 @@ class TestClassifyStage:
         assert classify_stage("opt.sccp") is None
 
     def test_nested_fingerprint_excluded(self):
-        # fingerprint runs inside return_functions; counting it would
+        # fingerprint runs inside prepare; counting it would
         # double-bill the solve bucket.
         assert classify_stage("fingerprint") is None
 

@@ -179,7 +179,7 @@ class TestEngineUnderCacheFaults:
 
     def test_rotted_digest_recomputes_identically(self, tmp_path):
         truth = fingerprint(TRI_PROGRAM)
-        faults.install("corrupt-cache:namespace=ret", export_env=False)
+        faults.install("corrupt-cache:namespace=sum", export_env=False)
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
         faults.clear()

@@ -130,7 +130,7 @@ class TestEngineFlags:
             handle.write(PROGRAM.replace("K + 1", "K + 2"))
         assert main(["analyze", program_file] + flags) == 0
         out = capsys.readouterr().out
-        assert "edited      s: post-SSA IR changed" in out
+        assert "edited      s: lowered IR changed" in out
         assert "downstream  main: calls dirty procedure(s): s" in out
 
     def test_explain_invalidation_implies_cache(self, program_file, capsys):

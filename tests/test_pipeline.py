@@ -239,9 +239,9 @@ def test_a_finished_run_leaves_no_program_behind(sources, tmp_path):
     programs = []
 
     class Watched(Engine):
-        def start(self, program, config):
-            programs.append(weakref.ref(program))
-            super().start(program, config)
+        def start(self, prepared, config):
+            programs.append(weakref.ref(prepared.program))
+            super().start(prepared, config)
 
     engine = Watched(cache_dir=str(tmp_path / "cache"))
     request = pipeline.Request(AnalysisConfig(), path=sources["tri"],
