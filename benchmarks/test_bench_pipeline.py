@@ -30,8 +30,8 @@ start-up and import pass amortized over N files, instead of N separate
 fixed-cost amortization, not parallelism), so its ≥1.5× gate asserts on
 every host, including a 1-CPU one.
 The *incremental* section edits one procedure of a cached program and
-gates on the dirty-set guarantee: only the edited procedure and its
-transitive callers are recomputed.
+gates on the dirty-set guarantee: only the edited procedure and the
+callers whose callees' exports changed are recomputed.
 """
 
 import json
@@ -49,6 +49,7 @@ from repro.config import AnalysisConfig
 from repro.engine import Engine
 from repro.engine.memo import clear_memos
 from repro.ipcp.driver import analyze_source
+from repro.obs import metrics
 from repro.pipeline import run_entry
 from repro.suite.generator import GeneratorConfig, generate_program
 
@@ -192,9 +193,13 @@ def test_cache_cold_vs_warm(procedures, report, tmp_path_factory, capfd):
 
     # Warm summary path: every per-procedure summary comes off disk.
     def warm_run():
+        base = metrics.snapshot()
         with Engine(cache_dir=cache_dir) as engine:
             value = fingerprint(analyze_source(text, config, engine=engine))
-            return value, engine.cache.stats.hit_rate
+        counters = metrics.delta_since(base)["counters"]
+        hits = counters.get("summary_cache_hits", 0)
+        lookups = hits + counters.get("summary_cache_misses", 0)
+        return value, hits / lookups if lookups else 0.0
 
     warm_seconds, (warm, hit_rate) = timed(warm_run)
     assert warm == cold
@@ -325,8 +330,8 @@ def _edit_first_literal(text):
 @pytest.mark.parametrize("procedures", SIZES)
 def test_incremental_dirty_set(procedures, report, tmp_path_factory, capfd):
     """Edit one procedure of a cached program: the re-analysis must
-    recompute only the dirty set (edited + transitive callers) and
-    leave every other summary to the cache."""
+    recompute only the dirty set (edited + callers reading a changed
+    export) and leave every other summary to the cache."""
     from repro.engine.batch import analyze_one
 
     directory = tmp_path_factory.mktemp(f"incr{procedures}")

@@ -11,21 +11,18 @@ across files in :func:`~repro.engine.batch.run_batch`. See
 """
 
 from repro.engine.batch import BatchResult, FileOutcome, run_batch
-from repro.engine.cache import CacheStats, SummaryCache, default_cache_root
+from repro.engine.cache import SummaryCache, default_cache_root
 from repro.engine.core import Engine
 from repro.engine.fingerprint import (
     ENGINE_CACHE_VERSION,
     config_fingerprint,
     procedure_digest,
     source_digest,
-    summary_index,
-    summary_keys,
 )
 from repro.engine.incremental import InvalidationReport, diff_manifest
 
 __all__ = [
     "BatchResult",
-    "CacheStats",
     "Engine",
     "ENGINE_CACHE_VERSION",
     "FileOutcome",
@@ -37,6 +34,4 @@ __all__ = [
     "procedure_digest",
     "run_batch",
     "source_digest",
-    "summary_index",
-    "summary_keys",
 ]

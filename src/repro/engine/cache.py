@@ -31,13 +31,14 @@ own ``prov`` entry that only explaining requests read.
 Namespaces in use:
 
 - ``sum`` — one entry per procedure under its member key
-  (:func:`repro.engine.fingerprint.summary_index`): ``{"ret": ...,
-  "fwd": ...}``, its return jump functions and the forward jump
-  functions of its call sites, each half with its demotions. A run
-  that ended before its forward walk, or has none, leaves it
-  return-only; a configuration without return functions writes it
-  forward-only. An edit reads one entry per clean procedure and writes
-  one per rebuilt procedure;
+  (:func:`repro.engine.fingerprint.component_key`): ``{"ret": ...,
+  "rh": ..., "fwd": ...}``, its return jump functions, their hash
+  (:func:`payload_digest`, which its callers' keys read through its
+  export) and the forward jump functions of its call sites, each half
+  with its demotions. A run that ended before its forward walk, or has
+  none, leaves it return-only; a configuration without return functions
+  writes it forward-only. An edit reads one entry per clean procedure
+  and writes one per rebuilt procedure;
 - ``sub`` — substitution measurements per procedure, under the member
   key salted with the procedure's CONSTANTS cells and source-location
   digest;
@@ -52,9 +53,12 @@ Every write creates one file (``mkstemp`` then ``os.replace``).
 
 This is the *cross-run* summary tier; within one run the engine keeps
 summaries as live objects and touches this cache only to read or store
-them. Handles may be shared across the batch driver's threads, so the
-stats counters are lock-protected; the entry files themselves are safe
-under concurrency via atomic rename.
+them. Handles may be shared across the batch driver's threads: a handle
+holds no mutable state, and the entry files are safe under concurrency
+via atomic rename. The traffic is counted in the metrics registry
+(:mod:`repro.obs.metrics`): the engine counts hits, misses and stores
+per namespace, and this module ``cache_quarantined`` and
+``cache_store_failures``.
 
 Fault-injection points (:mod:`repro.faults`): ``fail-write`` makes a
 store raise mid-write (degrades to a smaller cache), ``truncate-cache``
@@ -68,8 +72,7 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import faults
@@ -110,49 +113,11 @@ def payload_digest(payload) -> str:
 
 
 @dataclass
-class CacheStats:
-    """Lookup/store accounting for one cache handle."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    #: Misses caused by integrity failures (subset of ``misses``).
-    quarantined: int = 0
-    #: Stores that failed (full disk, injected write fault).
-    store_failures: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "quarantined": self.quarantined,
-            "store_failures": self.store_failures,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
-@dataclass
 class SummaryCache:
-    """Content-addressed JSON object store with hit/miss accounting
-    and payload integrity verification."""
+    """Content-addressed JSON object store with payload integrity
+    verification."""
 
     root: str
-    stats: CacheStats = field(default_factory=CacheStats)
-    #: Guards ``stats`` (the ``+=`` read-modify-writes would drop
-    #: counts under real thread overlap). Not comparable/serializable
-    #: state, hence excluded from the dataclass protocol.
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def _path(self, namespace: str, key: str) -> str:
         return os.path.join(
@@ -169,8 +134,6 @@ class SummaryCache:
             with open(path, "rb") as handle:
                 data = handle.read()
         except OSError:
-            with self._lock:
-                self.stats.misses += 1
             return None
         if not (
             data.startswith(_HEAD)
@@ -190,8 +153,6 @@ class SummaryCache:
         except ValueError:
             self._quarantine(namespace, path, "unparseable")
             return None
-        with self._lock:
-            self.stats.hits += 1
         return payload
 
     def put(self, namespace: str, key: str, payload: dict) -> None:
@@ -227,9 +188,6 @@ class SummaryCache:
             except OSError:
                 pass
             self._note_store_failure()
-            return
-        with self._lock:
-            self.stats.stores += 1
 
     def delete(self, namespace: str, key: str) -> bool:
         """Drop one entry (the daemon's ``invalidate`` op). True when
@@ -243,16 +201,13 @@ class SummaryCache:
     # -- integrity -----------------------------------------------------------
 
     def _quarantine(self, namespace: str, path: str, reason: str) -> None:
-        """Evict a failed entry: count a miss, keep the bytes aside as
-        ``<entry>.corrupt``, and make the event visible in metrics and
-        the trace. Renaming (not deleting) preserves the evidence while
-        guaranteeing the entry can never be served again; if even the
-        rename fails the entry stays in place but every future read
-        re-fails verification, so correctness never depends on the
-        quarantine write succeeding."""
-        with self._lock:
-            self.stats.misses += 1
-            self.stats.quarantined += 1
+        """Evict a failed entry (a miss to the caller): keep the bytes
+        aside as ``<entry>.corrupt``, and make the event visible in
+        metrics and the trace. Renaming (not deleting) preserves the
+        evidence while guaranteeing the entry can never be served
+        again; if even the rename fails the entry stays in place but
+        every future read re-fails verification, so correctness never
+        depends on the quarantine write succeeding."""
         try:
             os.replace(path, path + ".corrupt")
         except OSError:
@@ -267,8 +222,6 @@ class SummaryCache:
             )
 
     def _note_store_failure(self) -> None:
-        with self._lock:
-            self.stats.store_failures += 1
         from repro.obs import metrics
 
         metrics.inc("cache_store_failures")

@@ -6,21 +6,30 @@ and runs the three per-procedure pipeline stages — return jump
 functions, forward jump functions, substitution measurement — in the
 plain driver's own order (the SCCs of the call graph bottom-up, then
 the procedures top-down, then program order), adding a persistent
-content-addressed summary cache (:mod:`repro.engine.cache`) keyed by
-Merkle fingerprints (:mod:`repro.engine.fingerprint`), so unchanged
-procedures are never re-analyzed across runs.
+content-addressed summary cache (:mod:`repro.engine.cache`), so
+unchanged procedures are never re-analyzed across runs.
 
-The keys hash each procedure's IR before call-effect annotation and
-SSA, so :meth:`Engine.start` computes them right after the call graph
-and MOD/REF, and a procedure is annotated and converted to SSA form
+Keys cut off early (:mod:`repro.engine.fingerprint`): a component's key
+hashes its members' IR before call-effect annotation and SSA, and the
+*export* of every callee outside it — its return summary, interface and
+MOD set as a call binds it — not the callee's key. An edit therefore
+rebuilds a caller only when what the caller reads of it changed.
+:meth:`Engine.start` computes the digests and interfaces right after
+the call graph and MOD/REF; the bottom-up return walk keys each
+component when it reaches it, since its callees' exports are known by
+then (a configuration without return functions keys every component
+up front). A procedure is annotated and converted to SSA form
 (:meth:`~repro.ipcp.driver.PreparedProgram.convert`) only when one of
-its summaries misses. A procedure's return and forward summaries are one
-``sum`` cache entry under its key: the return walk reads it, decodes
-both halves and keeps the forward functions for the forward walk, and
-the forward walk writes the entries of the procedures it rebuilt.
-Return summaries still unwritten when a run ends early, or that has no
-forward stage, are written return-only; the forward walk completes such
-an entry.
+its summaries misses.
+
+A procedure's return and forward summaries are one ``sum`` cache entry
+under its key, which also stores the return summary's hash, so a hit
+yields the procedure's export without re-encoding anything. The return
+walk reads the entry, decodes both halves and keeps the forward
+functions for the forward walk, and the forward walk writes the entries
+of the procedures it rebuilt. Return summaries still unwritten when a
+run ends early, or that has no forward stage, are written return-only;
+the forward walk completes such an entry.
 
 The engine also keeps parsed program units across runs
 (:mod:`repro.frontend.unit_memo`): the driver and the linker parse
@@ -46,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.config import AnalysisConfig
 from repro.engine import fingerprint, summaries
-from repro.engine.cache import SummaryCache
+from repro.engine.cache import SummaryCache, payload_digest
 from repro.engine.fingerprint import _sha
 from repro.frontend.unit_memo import UnitMemo
 from repro.obs import metrics as obs_metrics
@@ -82,25 +91,43 @@ class Engine:
     def start(self, prepared, config: AnalysisConfig) -> None:
         """Bind the engine to one analysis run of ``prepared`` (a
         :class:`~repro.ipcp.driver.PreparedProgram` with no procedure
-        converted yet) and, with a cache, compute its summary keys.
-        Per-run state resets here, so one engine can serve many runs."""
+        converted yet) and, with a cache, compute every procedure's
+        digest and interface. Per-run state resets here, so one engine
+        can serve many runs."""
         self._reset_run()
         self._prepared = prepared
         self._config = config
-        if self.cache is not None:
-            with trace.stage("fingerprint"):
-                self._index = fingerprint.summary_index(
-                    prepared.program, prepared.callgraph, config
+        if self.cache is None:
+            return
+        with trace.stage("fingerprint"):
+            program = prepared.program
+            layout = fingerprint.globals_layout(program)
+            self._config_hash = fingerprint.config_fingerprint(config)
+            for procedure in program:
+                self._digests[procedure.name] = fingerprint.procedure_digest(
+                    procedure, layout
                 )
-            self._keys = {
-                name: entry["key"] for name, entry in self._index.items()
-            }
+                self._interfaces[procedure.name] = (
+                    fingerprint.procedure_interface(procedure, prepared.modref)
+                )
+            if not config.use_return_functions:
+                # No return summaries: every export is known now.
+                for component in prepared.callgraph.sccs():
+                    self._key_component(component)
+                    for member in component:
+                        self._export(member.name, "")
 
     def _reset_run(self) -> None:
         self._prepared = None
         self._config: Optional[AnalysisConfig] = None
-        self._index: Optional[Dict[str, Dict[str, str]]] = None
+        self._config_hash = ""
+        #: Per procedure: its digest and interface (from :meth:`start`),
+        #: its key (once the walk reached its component) and its export
+        #: (once its return summary was served or rebuilt).
+        self._digests: Dict[str, str] = {}
+        self._interfaces: Dict[str, str] = {}
         self._keys: Dict[str, str] = {}
+        self._exports: Dict[str, str] = {}
         self._loc_digests: Dict[str, str] = {}
         #: Procedures whose ``sum`` entry the return walk read (a hit or
         #: a miss), so the forward walk does not read it again.
@@ -108,8 +135,8 @@ class Engine:
         #: Forward functions and demotions decoded by the return walk,
         #: added to the table in the forward walk's order.
         self._forward: Dict[str, Tuple[list, list]] = {}
-        #: Encoded return summaries whose entry is not yet written: built
-        #: this run, or read from a return-only entry.
+        #: The return half (``ret`` and its hash ``rh``) of entries not
+        #: yet written: built this run, or read from a return-only entry.
         self._returns: Dict[str, dict] = {}
         #: Procedure names whose summaries were actually (re)computed
         #: this run, per stage namespace — the incremental layer's
@@ -119,7 +146,7 @@ class Engine:
         }
 
     def close(self) -> None:
-        """Release the last run's program, call graph and summary index;
+        """Release the last run's program, call graph and keys;
         the cache handle and the parsed units stay usable.
         :func:`repro.pipeline.run` calls this once a run's manifest is
         written, so a daemon holds no finished run between requests."""
@@ -149,8 +176,9 @@ class Engine:
     def return_functions(self, prepared, config, resilience):
         """Engine version of :func:`repro.ipcp.return_functions.
         build_return_functions`: the same bottom-up walk over
-        ``callgraph.sccs()``. A component is served whole from the
-        cache or built whole: its members see each other's partial
+        ``callgraph.sccs()``, keying each component on the exports of
+        the callees already walked. A component is served whole from
+        the cache or built whole: its members see each other's partial
         summaries while they are built."""
         from repro.ipcp.return_functions import (
             ReturnFunctionMap,
@@ -162,15 +190,20 @@ class Engine:
         try:
             for component in prepared.callgraph.sccs():
                 self._check()
+                if self.cache is not None:
+                    self._key_component(component)
                 cached = self._lookup_component(component, program)
                 if cached is not None:
                     for member in component:
-                        part = cached[member.name]["ret"]
-                        for encoded in part["fns"]:
+                        entry = cached[member.name]
+                        for encoded in entry["ret"]["fns"]:
                             return_map.add(summaries.decode_return_function(
                                 encoded, program
                             ))
-                        summaries.apply_demotions(part["dem"], resilience)
+                        summaries.apply_demotions(
+                            entry["ret"]["dem"], resilience
+                        )
+                        self._export(member.name, entry["rh"])
                     continue
                 for member in component:
                     prepared.convert(member)
@@ -182,7 +215,7 @@ class Engine:
                         fault_isolation=config.fault_isolation,
                     )
                     if self.cache is not None:
-                        self._returns[member.name] = {
+                        ret = {
                             "fns": summaries.encode_return_functions_of(
                                 return_map, member.name, program
                             ),
@@ -190,6 +223,9 @@ class Engine:
                                 resilience.demotions[mark:]
                             ),
                         }
+                        rh = payload_digest(ret)
+                        self._returns[member.name] = {"ret": ret, "rh": rh}
+                        self._export(member.name, rh)
                     self._note_recomputed("ret", member.name)
         except BaseException:
             self._write_returns()
@@ -197,6 +233,31 @@ class Engine:
         if not config.interprocedural:
             self._write_returns()
         return return_map
+
+    def _key_component(self, component) -> None:
+        """Key ``component`` on its members' digests and the exports of
+        the callees outside it (walked before it, bottom-up)."""
+        names = {member.name for member in component}
+        callgraph = self._prepared.callgraph
+        key = fingerprint.component_key(
+            self._config_hash,
+            [self._digests[member.name] for member in component],
+            {
+                callee.name: self._exports[callee.name]
+                for member in component
+                for callee in callgraph.callees(member)
+                if callee.name not in names
+            },
+        )
+        for member in component:
+            self._keys[member.name] = (
+                key if len(component) == 1 else _sha([key, member.name])
+            )
+
+    def _export(self, name: str, returns: str) -> None:
+        self._exports[name] = fingerprint.procedure_export(
+            self._interfaces[name], returns
+        )
 
     def _lookup_component(self, component,
                           program) -> Optional[Dict[str, dict]]:
@@ -216,7 +277,7 @@ class Engine:
                     entry["fwd"], member, program
                 )
             else:
-                self._returns[name] = entry["ret"]
+                self._returns[name] = entry
             found[name] = entry
         return found
 
@@ -245,7 +306,7 @@ class Engine:
                             entry["fwd"], procedure, program
                         )
                     elif entry is not None and "ret" in entry:
-                        self._returns[name] = entry["ret"]
+                        self._returns[name] = entry
                 if decoded is not None:
                     functions, demotions = decoded
                     for function in functions:
@@ -364,11 +425,12 @@ class Engine:
             )
         return data
 
-    def _put(self, name: str, ret: Optional[dict],
+    def _put(self, name: str, returns: Optional[dict],
              fwd: Optional[dict]) -> None:
-        entry = {}
-        if ret is not None:
-            entry["ret"] = ret
+        """Write ``name``'s entry: ``returns``, its return half (``ret``
+        and ``rh``), and ``fwd``, its forward half, either may be
+        None."""
+        entry = dict(returns) if returns is not None else {}
         if fwd is not None:
             entry["fwd"] = fwd
         self.cache.put(self.SUMMARIES, self._keys[name], entry)
@@ -378,8 +440,8 @@ class Engine:
         """Write the return summaries no forward walk completed, as
         return-only entries."""
         returns, self._returns = self._returns, {}
-        for name, ret in returns.items():
-            self._put(name, ret, None)
+        for name, half in returns.items():
+            self._put(name, half, None)
 
     def _substitution_key(
         self, procedure, constants_payload: Optional[dict]
@@ -407,6 +469,19 @@ class Engine:
 
     # -- incremental manifests -----------------------------------------------
 
+    def summary_index(self) -> Dict[str, Dict[str, str]]:
+        """Per procedure of the current run, its ``digest``, ``key`` and
+        ``export`` (:mod:`repro.engine.fingerprint`); empty with no
+        cache. Complete once the run's summaries were built."""
+        return {
+            name: {
+                "digest": digest,
+                "key": self._keys[name],
+                "export": self._exports[name],
+            }
+            for name, digest in self._digests.items()
+        }
+
     def finish_incremental(self, path: str):
         """Diff this run's summary index against the previous manifest
         for ``path`` and persist the new manifest. Returns an
@@ -416,20 +491,17 @@ class Engine:
         Call after the analysis completed, while the engine is still
         attached to the run's program.
         """
-        if self.cache is None or self._index is None:
+        if self.cache is None or self._prepared is None:
             return None
         from repro.engine import incremental
 
         key = incremental.manifest_key(path, self._config)
         previous = self.cache.get(incremental.MANIFEST_NAMESPACE, key)
+        manifest = incremental.build_manifest(self.summary_index())
         report = incremental.diff_manifest(
-            path, previous, self._index, self._prepared.callgraph
+            path, previous, manifest, self._prepared.callgraph
         )
-        self.cache.put(
-            incremental.MANIFEST_NAMESPACE,
-            key,
-            incremental.build_manifest(self._index),
-        )
+        self.cache.put(incremental.MANIFEST_NAMESPACE, key, manifest)
         obs_metrics.inc("incremental_dirty", len(report.dirty))
         obs_metrics.inc("incremental_clean", len(report.clean))
         if trace.ENABLED and report.dirty:

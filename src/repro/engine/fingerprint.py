@@ -16,13 +16,21 @@ hashes* over everything a summary's value can depend on:
   program and folded into every procedure's digest;
 - the :class:`~repro.config.AnalysisConfig` fingerprint and
   :data:`ENGINE_CACHE_VERSION`, folded into every component's key;
-- the summaries of every (transitive) callee, folded in Merkle-style:
-  an SCC's key hashes its members' digests together with the keys of
-  the child SCCs it calls into. A callee's key covers its MOD set (a
-  function of its own IR and its callees'), which is all that the
-  call-effect annotation of its callers reads from it. Editing one
-  procedure therefore invalidates exactly that procedure and its
-  transitive callers.
+- the *export* of every callee outside the procedure's call-graph
+  component (:func:`procedure_export`): what a caller reads of it. That
+  is its return summary (return jump functions and their demotions),
+  its formals with their shapes, its result variable and its MOD set as
+  a call binds it (:func:`procedure_interface`) — everything call-effect
+  annotation, the return and forward builders and the SCCP call model
+  read of a callee; none of them reads REF.
+
+A component's key (:func:`component_key`) hashes its members' digests
+with its outside callees' exports. This is early cutoff: an edit that
+leaves a procedure's export unchanged — a literal in a local
+computation, say — rebuilds that procedure only, not its callers. An
+export is known only once its component's summaries were served or
+rebuilt, so the engine keys each component when its bottom-up walk
+reaches it (callees first).
 
 The substitution namespace also salts with :func:`location_digest`,
 which reads the same whether or not the procedure was ever annotated
@@ -57,7 +65,9 @@ from repro.ir.printer import format_procedure
 #: v5: summary keys hash the IR before annotation and SSA, and one
 #: ``sum`` entry per procedure holds its return and forward summaries
 #: (the ``ret`` and ``fwd`` namespaces are gone).
-ENGINE_CACHE_VERSION = 5
+#: v6: a component's key hashes its outside callees' exports instead of
+#: their keys, and a ``sum`` entry stores its return summary's hash.
+ENGINE_CACHE_VERSION = 6
 
 
 def _sha(parts: List[str]) -> str:
@@ -106,23 +116,76 @@ def globals_layout(program: Program) -> str:
     )])
 
 
+def _shaped(variable) -> str:
+    return f"{variable.name}()" if variable.is_array else variable.name
+
+
 def procedure_digest(procedure: Procedure, layout: str) -> str:
     """Hash of one procedure's own content: its lowered IR (kind, name,
     blocks and instructions) as it is before call-effect annotation and
     SSA, its formals with their shapes, its result variable, the COMMON
     members it declares, and the program's :func:`globals_layout`.
     Annotation and SSA derive everything else of the procedure from
-    these, the call graph and its callees' MOD sets (which their keys
-    cover)."""
+    these, the call graph and its callees' MOD sets (which their
+    exports cover)."""
     return _sha([
         format_procedure(procedure),
-        ",".join(
-            f"{v.name}()" if v.is_array else v.name for v in procedure.formals
-        ),
+        ",".join(_shaped(v) for v in procedure.formals),
         procedure.result_var.name if procedure.result_var is not None else "",
         ",".join(f"{v.common_block}/{v.name}"
                  for v in procedure.visible_globals),
         layout,
+    ])
+
+
+def procedure_interface(procedure: Procedure, modref) -> str:
+    """Hash of what a caller reads of ``procedure`` besides its return
+    summary: its formals with their shapes, its result variable, and
+    its MOD set as a call binds it — the positions of the formals it
+    may modify and the globals it may modify (``modref`` is None
+    without MOD information, when a call kills every global and
+    bindable actual whatever the callee does). Lowering checks every
+    call against its callee's formals and kind, so a change of those
+    also changes each caller's own IR; they are hashed here anyway,
+    because the callers' summaries read them."""
+    if modref is None:
+        positions, modified = "", ""
+    else:
+        mod = modref.mod.get(procedure.name, ())
+        positions = ",".join(
+            str(index) for index, formal in enumerate(procedure.formals)
+            if formal in mod
+        )
+        modified = ",".join(
+            f"{v.common_block}/{_shaped(v)}"
+            for v in modref.modified_globals(procedure.name)
+        )
+    return _sha([
+        ",".join(_shaped(v) for v in procedure.formals),
+        procedure.result_var.name if procedure.result_var is not None else "",
+        positions,
+        modified,
+    ])
+
+
+def procedure_export(interface: str, returns: str) -> str:
+    """What a caller's summaries read of a procedure: its
+    :func:`procedure_interface` and ``returns``, the hash of its
+    encoded return summary (:func:`repro.engine.cache.payload_digest`
+    of its functions and demotions)."""
+    return _sha([interface, returns])
+
+
+def component_key(config_hash: str, digests: List[str],
+                  callee_exports: Dict[str, str]) -> str:
+    """Key of one call-graph component's summaries: the cache version,
+    ``config_hash`` (:func:`config_fingerprint`), its members' digests
+    in component order, and the export of each callee outside it, by
+    name. A lone member's key is its component key (its digest already
+    names it); the members of a larger component, whose summaries are
+    built together and read each other's, salt it with their names."""
+    return _sha([f"v{ENGINE_CACHE_VERSION}", config_hash] + digests + [
+        f"{name}={export}" for name, export in sorted(callee_exports.items())
     ])
 
 
@@ -153,64 +216,6 @@ def location_digest(procedure: Procedure) -> str:
                 if use.location is not UNKNOWN_LOCATION:
                     parts.append(str(use.location))
     return _sha(parts)
-
-
-def summary_index(
-    program: Program, callgraph, config: AnalysisConfig
-) -> Dict[str, Dict[str, str]]:
-    """Per-procedure ``{"digest": ..., "key": ...}``, Merkle-folded.
-
-    The ``digest`` is :func:`procedure_digest`; the ``key`` folds the
-    cache version, the config fingerprint, the SCC's member digests,
-    and the keys of the child components it calls into. Every member of
-    one SCC shares the component hash (their summaries are built
-    together and depend on each other); the member key salts it with
-    the member's name (a lone member's key is the component hash, whose
-    digest already names it). The incremental layer diffs two indexes
-    of the same file to separate *edited* procedures (digest changed)
-    from procedures that are merely *downstream* of an edit (key changed
-    via a callee's key).
-
-    Call it before any procedure is annotated (annotation and SSA show
-    in the printed IR): the engine does, right after the call graph and
-    MOD/REF.
-    """
-    salt = [f"v{ENGINE_CACHE_VERSION}", config_fingerprint(config)]
-    layout = globals_layout(program)
-    components = callgraph.sccs()  # reverse topological: callees first
-    component_of: Dict[Procedure, int] = {}
-    for index, component in enumerate(components):
-        for member in component:
-            component_of[member] = index
-    component_keys: List[str] = []
-    index_out: Dict[str, Dict[str, str]] = {}
-    for index, component in enumerate(components):
-        child_keys = sorted(
-            {
-                component_keys[component_of[callee]]
-                for member in component
-                for callee in callgraph.callees(member)
-                if component_of[callee] != index
-            }
-        )
-        digests = [procedure_digest(member, layout) for member in component]
-        component_key = _sha(salt + digests + child_keys)
-        component_keys.append(component_key)
-        for member, digest in zip(component, digests):
-            key = (component_key if len(component) == 1
-                   else _sha([component_key, member.name]))
-            index_out[member.name] = {"digest": digest, "key": key}
-    return index_out
-
-
-def summary_keys(
-    program: Program, callgraph, config: AnalysisConfig
-) -> Dict[str, str]:
-    """One cache key per procedure (see :func:`summary_index`)."""
-    return {
-        name: entry["key"]
-        for name, entry in summary_index(program, callgraph, config).items()
-    }
 
 
 def run_key(text: str, config: AnalysisConfig) -> str:

@@ -1,27 +1,29 @@
-"""Incremental re-analysis: dirty-set computation over Merkle manifests.
+"""Incremental re-analysis: dirty-set computation over manifests.
 
 The summary cache (:mod:`repro.engine.cache`) already *implements*
-incrementality — a procedure's Merkle key changes exactly when the
-procedure was edited or one of its (transitive) callees was, so a warm
-run recomputes precisely the invalidated summaries and splices cached
+incrementality — a procedure's key changes exactly when the procedure,
+a member of its call-graph component, or the export of a callee outside
+the component changed (:mod:`repro.engine.fingerprint`), so a warm run
+recomputes precisely the invalidated summaries and splices cached
 payloads for everything else. What the cache cannot do by itself is
 *tell you* what happened: which procedures were dirty, why, and whether
 the engine really did confine recomputation to that set.
 
 This module adds that accounting. A **manifest** is a per-(path,
-config) snapshot of the :func:`repro.engine.fingerprint.summary_index`
-— one ``{digest, key}`` pair per procedure — stored in the cache under
-the ``man`` namespace after every engine run. Diffing the previous
-manifest against the current index classifies every procedure:
+config) snapshot of the engine's
+:meth:`~repro.engine.core.Engine.summary_index` — one ``[digest, key,
+export]`` row per procedure — stored in the cache under the ``man``
+namespace after every engine run. Diffing the previous manifest against
+the current one classifies every procedure:
 
 - **edited** — its own digest changed (its lowered IR, its interface,
   the COMMON members it declares, or the program's scalar globals);
-- **downstream** — digest unchanged but Merkle key changed: some
-  transitive *callee* was edited (which may change its MOD set, and so
-  this procedure's call-effect annotation), so this procedure's
-  summaries may evaluate differently. (Keys fold callee keys into
-  callers, so "key changed, digest same" is exactly "transitive caller
-  of an edit".)
+- **downstream** — digest unchanged but key changed: the export of a
+  callee outside its component changed (its return summary, or its MOD
+  set as a call binds it, and so this procedure's call-effect
+  annotation), or a member of its recursive component was edited. A
+  callee rebuilt with an unchanged export leaves its callers clean
+  (early cutoff);
 - **added** / **removed** — present on only one side;
 - **clean** — digest and key both unchanged: every summary is served
   from the cache.
@@ -58,9 +60,24 @@ def manifest_key(path: str, config) -> str:
     )
 
 
+#: Hex digits kept of each manifest hash. A manifest only tells two
+#: runs of one file apart and addresses no cache entry, so 128-bit
+#: prefixes are as good as whole hashes, at half the bytes.
+_PREFIX = 32
+#: The columns of a manifest row.
+_DIGEST, _KEY, _EXPORT = 0, 1, 2
+
+
 def build_manifest(index: Dict[str, Dict[str, str]]) -> dict:
-    """The JSON-able manifest payload for one run's summary index."""
-    return {"procedures": index}
+    """The manifest payload of one run's summary index: per procedure,
+    ``[digest, key, export]`` (prefixes)."""
+    return {
+        "procedures": {
+            name: [entry["digest"][:_PREFIX], entry["key"][:_PREFIX],
+                   entry["export"][:_PREFIX]]
+            for name, entry in index.items()
+        }
+    }
 
 
 @dataclass
@@ -147,52 +164,71 @@ def format_invalidation(payload: dict) -> str:
 def diff_manifest(
     path: str,
     old: Optional[dict],
-    index: Dict[str, Dict[str, str]],
+    new: dict,
     callgraph,
 ) -> InvalidationReport:
     """Classify every procedure of the current program against ``old``.
 
-    ``index`` is the current :func:`~repro.engine.fingerprint.
-    summary_index`; ``callgraph`` (the current program's) supplies the
-    callee lists the *why* strings point at. ``old`` is the previous
-    manifest payload, or None for a cold run.
+    ``new`` is the current run's :func:`build_manifest`; ``callgraph``
+    (the current program's) supplies the components and callees the
+    *why* strings point at. ``old`` is the previous manifest payload,
+    or None for a cold run.
     """
+    rows: Dict[str, List[str]] = new["procedures"]
     report = InvalidationReport(path=path)
     if old is None or "procedures" not in old:
         report.cold = True
-        report.added = list(index)
-        for name in index:
+        report.added = list(rows)
+        for name in rows:
             report.reasons[name] = "no previous run"
         return report
 
-    previous: Dict[str, Dict[str, str]] = old["procedures"]
-    dirty_keys = {
-        name
-        for name, entry in index.items()
-        if previous.get(name, {}).get("key") != entry["key"]
-    }
-    by_name = {procedure.name: procedure for procedure in callgraph.nodes()}
-    for name, entry in index.items():
+    previous: Dict[str, List[str]] = old["procedures"]
+
+    def moved(name: str, column: int) -> bool:
         before = previous.get(name)
-        if before is None:
+        return before is None or before[column] != rows[name][column]
+
+    component_of: Dict[str, list] = {}
+    for name in rows:
+        if name not in previous:
             report.added.append(name)
             report.reasons[name] = "procedure is new"
-        elif before["digest"] != entry["digest"]:
+        elif moved(name, _DIGEST):
             report.edited.append(name)
             report.reasons[name] = "lowered IR changed"
-        elif before["key"] != entry["key"]:
+        elif moved(name, _KEY):
+            if not component_of:
+                component_of = {
+                    member.name: component
+                    for component in callgraph.sccs()
+                    for member in component
+                }
             report.downstream.append(name)
-            culprits = sorted(
-                callee.name
-                for callee in callgraph.callees(by_name[name])
-                if callee.name in dirty_keys
-            )
-            report.reasons[name] = (
-                f"calls dirty procedure(s): {', '.join(culprits)}"
-                if culprits
-                else "a transitive callee changed"
+            report.reasons[name] = _cause(
+                component_of[name], callgraph, moved
             )
         else:
             report.clean.append(name)
-    report.removed = sorted(set(previous) - set(index))
+    report.removed = sorted(set(previous) - set(rows))
     return report
+
+
+def _cause(component, callgraph, moved) -> str:
+    """Why a procedure of ``component`` whose own digest did not change
+    got a new key: the callees outside the component whose export
+    changed, and the members of the component that were edited."""
+    names = {member.name for member in component}
+    parts = []
+    changed = sorted({
+        callee.name
+        for member in component
+        for callee in callgraph.callees(member)
+        if callee.name not in names and moved(callee.name, _EXPORT)
+    })
+    if changed:
+        parts.append(f"callee export changed: {', '.join(changed)}")
+    edited = sorted(name for name in names if moved(name, _DIGEST))
+    if edited:
+        parts.append(f"recursive co-member edited: {', '.join(edited)}")
+    return "; ".join(parts) or "its call-graph component changed"

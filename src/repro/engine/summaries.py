@@ -227,9 +227,10 @@ def encode_forward_functions_of(
 def encode_constants(constants: ConstantsResult, program: Program) -> dict:
     """Encode the full VAL map in entry-domain order per procedure."""
     encoded: Dict[str, list] = {}
+    scalar_globals = program.scalar_globals()
     for procedure in program:
         cells = []
-        for var in entry_domain(procedure, program):
+        for var in entry_domain(procedure, program, scalar_globals):
             value = constants.val_of(procedure.name, var)
             if value.is_constant:
                 cells.append(["c", value.value])
@@ -243,10 +244,12 @@ def encode_constants(constants: ConstantsResult, program: Program) -> dict:
 
 def decode_constants(data: dict, program: Program) -> ConstantsResult:
     val: Dict[str, Dict[Variable, LatticeValue]] = {}
+    scalar_globals = program.scalar_globals()
     for procedure in program:
         cells: Dict[Variable, LatticeValue] = {}
         encoded = data.get(procedure.name, [])
-        for var, cell in zip(entry_domain(procedure, program), encoded):
+        domain = entry_domain(procedure, program, scalar_globals)
+        for var, cell in zip(domain, encoded):
             if cell[0] == "c":
                 cells[var] = const(cell[1])
             elif cell[0] == "t":

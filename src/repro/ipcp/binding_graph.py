@@ -72,14 +72,16 @@ class BindingMultiGraph:
         self._build(callgraph, table)
 
     def _build(self, callgraph: CallGraph, table: JumpFunctionTable) -> None:
+        scalar_globals = self.program.scalar_globals()
         for procedure in self.program:
-            for var in entry_domain(procedure, self.program):
+            for var in entry_domain(procedure, self.program, scalar_globals):
                 node = (procedure.name, var)
                 self.nodes.append(node)
                 self.in_edges[node] = []
                 self.dependents[node] = []
         for site in callgraph.sites:
-            for var in entry_domain(site.callee, self.program):
+            for var in entry_domain(site.callee, self.program,
+                                    scalar_globals):
                 target = (site.callee.name, var)
                 function = table.lookup(site.call, var)
                 if function is None:

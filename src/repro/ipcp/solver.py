@@ -118,12 +118,20 @@ class PropagationResult:
     excluded: frozenset = frozenset()
 
 
-def entry_domain(procedure: Procedure, program: Program) -> List[Variable]:
+def entry_domain(
+    procedure: Procedure, program: Program,
+    scalar_globals: Optional[List[Variable]] = None,
+) -> List[Variable]:
     """The parameters tracked for ``procedure``: its scalar formals plus
     every scalar global (the paper's footnote-1 extension of "parameter"
-    to global variables)."""
+    to global variables). ``scalar_globals`` is
+    ``program.scalar_globals()``, which a caller asking for many
+    procedures' domains computes once."""
     domain = [v for v in procedure.formals if v.is_scalar]
-    domain.extend(program.scalar_globals())
+    domain.extend(
+        program.scalar_globals() if scalar_globals is None
+        else scalar_globals
+    )
     return domain
 
 
@@ -172,10 +180,11 @@ def propagate(
 
     stats = PropagationStats(strategy=strategy)
     val: Dict[str, Dict[Variable, LatticeValue]] = {}
+    scalar_globals = program.scalar_globals()
     for procedure in program:
         val[procedure.name] = {
             var: initial_value(procedure, var, program)
-            for var in entry_domain(procedure, program)
+            for var in entry_domain(procedure, program, scalar_globals)
         }
 
     seed_order = [p for p in callgraph.reverse_postorder() if not p.is_main]

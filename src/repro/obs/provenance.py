@@ -101,10 +101,11 @@ def build_provenance(result) -> "ConstantProvenance":
         if rendered not in bucket:  # GSA rounds re-record identical drops
             bucket.append(rendered)
 
+    scalar_globals = program.scalar_globals()
     for procedure in program:
         vals = constants.val_set(procedure.name)
         sites = list(callgraph.sites_into(procedure))
-        for var in entry_domain(procedure, program):
+        for var in entry_domain(procedure, program, scalar_globals):
             value = vals.get(var, BOTTOM)
             cell: dict = {
                 "procedure": procedure.name,

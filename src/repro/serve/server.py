@@ -64,6 +64,11 @@ _STATUS_COUNTER_PREFIXES = (
     "serve_", "batch_pool_", "cache_", "faults_", "recomputed_",
     "run_cache_", "summary_cache_", "demotions_",
 )
+#: The counters of the ``status`` op's ``cache`` field: hits, misses and
+#: stores per cache namespace, quarantined entries and failed stores.
+_CACHE_COUNTER_PREFIXES = (
+    "summary_cache_", "run_cache_", "opt_cache_", "cache_",
+)
 
 
 @dataclass
@@ -777,9 +782,10 @@ class ReproServer:
     # -- op: status ----------------------------------------------------------
 
     def _op_status(self) -> dict:
+        registry = self._registry.counters()
         counters = {
             name: value
-            for name, value in self._registry.counters().items()
+            for name, value in registry.items()
             if name.startswith(_STATUS_COUNTER_PREFIXES)
         }
         plan = faults.active()
@@ -790,7 +796,11 @@ class ReproServer:
             "queue_limit": self.config.queue_limit,
             "default_deadline_s": self.config.default_deadline_s,
             "cache": (
-                self.engine.cache.stats.as_dict()
+                {
+                    name: value
+                    for name, value in registry.items()
+                    if name.startswith(_CACHE_COUNTER_PREFIXES)
+                }
                 if self.engine.cache is not None
                 else None
             ),

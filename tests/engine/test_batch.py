@@ -229,7 +229,7 @@ class TestBatchCli:
         )
         out = capsys.readouterr().out
         assert "edited      p: lowered IR changed" in out
-        assert "downstream  main: calls dirty procedure(s): p" in out
+        assert "downstream  main: callee export changed: p" in out
 
     def test_profile_json_written(self, programs, tmp_path, capsys):
         big, small = programs

@@ -8,8 +8,8 @@ import pytest
 
 from repro.config import AnalysisConfig
 from repro.engine import Engine, SummaryCache, default_cache_root, fingerprint
-from repro.engine.cache import CacheStats
 from repro.ipcp.driver import analyze_source
+from repro.obs import metrics
 from repro.pipeline import run_entry
 from repro.suite.programs import program_source
 
@@ -18,6 +18,16 @@ SOURCE = program_source("adm")
 
 def run(config=None, engine=None, text=SOURCE):
     return analyze_source(text, config or AnalysisConfig(), engine=engine)
+
+
+def summary_traffic(base) -> dict:
+    """The registry's summary-cache counters since ``base``: ``hits``,
+    ``misses`` and ``stores``."""
+    counters = metrics.delta_since(base)["counters"]
+    return {
+        kind: counters.get(f"summary_cache_{kind}", 0)
+        for kind in ("hits", "misses", "stores")
+    }
 
 
 def outputs(result):
@@ -34,8 +44,6 @@ class TestSummaryCacheStore:
         assert cache.get("ret", "ab" * 32) is None
         cache.put("ret", "ab" * 32, {"fns": [1, 2]})
         assert cache.get("ret", "ab" * 32) == {"fns": [1, 2]}
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert cache.stats.stores == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = SummaryCache(str(tmp_path))
@@ -52,11 +60,6 @@ class TestSummaryCacheStore:
         cache.put("ret", key, {"a": 1})
         assert cache.get("fwd", key) is None
 
-    def test_hit_rate(self):
-        stats = CacheStats(hits=3, misses=1)
-        assert stats.hit_rate == 0.75
-        assert CacheStats().hit_rate == 0.0
-
     def test_default_root_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "/somewhere/else")
         assert default_cache_root() == "/somewhere/else"
@@ -68,27 +71,30 @@ class TestSummaryCacheStore:
 class TestWarmRuns:
     def test_warm_run_hits_everything_and_matches(self, tmp_path):
         serial = outputs(run())
+        base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             cold = outputs(run(engine=engine))
-            assert engine.cache.stats.hits == 0
-            stores = engine.cache.stats.stores
-            assert stores > 0
+        traffic = summary_traffic(base)
+        assert traffic["hits"] == 0
+        assert traffic["stores"] > 0
+        base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             warm = outputs(run(engine=engine))
-            stats = engine.cache.stats
-            assert stats.misses == 0
-            assert stats.hit_rate >= 0.95
+        traffic = summary_traffic(base)
+        assert traffic["misses"] == 0
+        assert traffic["hits"] > 0
         assert cold == serial
         assert warm == serial
 
     def test_whitespace_edit_keeps_summaries(self, tmp_path):
         with Engine(cache_dir=str(tmp_path)) as engine:
             run(engine=engine)
+        base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             run(engine=engine, text=SOURCE + "\n")
-            # Raw text changed but no procedure's IR did: the Merkle
-            # keys hash analysis-relevant content, not bytes.
-            assert engine.cache.stats.misses == 0
+        # Raw text changed but no procedure's IR did: the keys hash
+        # analysis-relevant content, not bytes.
+        assert summary_traffic(base)["misses"] == 0
 
 
 class TestInvalidation:
@@ -97,20 +103,22 @@ class TestInvalidation:
         assert edited != SOURCE
         with Engine(cache_dir=str(tmp_path)) as engine:
             run(engine=engine)
+        base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             result = run(engine=engine, text=edited)
-            stats = engine.cache.stats
-            assert stats.misses > 0, "the edit must invalidate something"
-            assert stats.hits > 0, "unrelated procedures must stay cached"
+        traffic = summary_traffic(base)
+        assert traffic["misses"] > 0, "the edit must invalidate something"
+        assert traffic["hits"] > 0, "unrelated procedures must stay cached"
         assert outputs(result) == outputs(run(text=edited))
 
     def test_config_change_invalidates_all(self, tmp_path):
         with Engine(cache_dir=str(tmp_path)) as engine:
             run(engine=engine)
         other = replace(AnalysisConfig(), use_mod=False)
+        base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             run(config=other, engine=engine)
-            assert engine.cache.stats.hits == 0
+        assert summary_traffic(base)["hits"] == 0
 
     def test_cache_version_bump_invalidates_all(self, tmp_path, monkeypatch):
         with Engine(cache_dir=str(tmp_path)) as engine:
@@ -119,9 +127,10 @@ class TestInvalidation:
             fingerprint, "ENGINE_CACHE_VERSION",
             fingerprint.ENGINE_CACHE_VERSION + 1,
         )
+        base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             run(engine=engine)
-            assert engine.cache.stats.hits == 0
+        assert summary_traffic(base)["hits"] == 0
 
     def test_fingerprint_excludes_verify_ir(self):
         base = AnalysisConfig()

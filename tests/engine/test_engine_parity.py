@@ -8,14 +8,12 @@ from dataclasses import replace
 import pytest
 
 from repro.config import AnalysisBudget, AnalysisConfig
-from repro.engine import Engine, fingerprint, summaries
+from repro.engine import Engine, summaries
 from repro.engine.cache import SummaryCache
-from repro.callgraph.callgraph import build_call_graph
 from repro.ipcp.driver import analyze_source
+from repro.obs import metrics
 from repro.suite.generator import GeneratorConfig, generate_case
 from repro.suite.programs import SUITE_PROGRAM_NAMES, program_source
-
-from tests.conftest import lower
 
 GENERATOR = GeneratorConfig(procedures=6, max_statements_per_procedure=8)
 SEEDS = range(25)
@@ -35,6 +33,12 @@ def fingerprint_run(text, config=None, engine=None):
     )
 
 
+def summary_misses(base) -> int:
+    return metrics.delta_since(base)["counters"].get(
+        "summary_cache_misses", 0
+    )
+
+
 def assert_cold_and_warm_match(text, cache_dir, config=None):
     """Analyze ``text`` with a cold engine, then with a warm one over
     the same cache; both must match the plain driver. Returns the plain
@@ -42,9 +46,10 @@ def assert_cold_and_warm_match(text, cache_dir, config=None):
     plain = fingerprint_run(text, config)
     with Engine(cache_dir=cache_dir) as engine:
         assert fingerprint_run(text, config, engine) == plain, "cold"
+    base = metrics.snapshot()
     with Engine(cache_dir=cache_dir) as engine:
         assert fingerprint_run(text, config, engine) == plain, "warm"
-        assert engine.cache.stats.misses == 0
+    assert summary_misses(base) == 0
     return plain
 
 
@@ -130,15 +135,10 @@ class TestRecursiveComponents:
         entry); ``a``'s forward functions still come from ``a``'s."""
         text = RECURSIVE["mutual"]
         plain = assert_cold_and_warm_match(text, str(tmp_path))
-        program = lower(text, filename="<string>")
-        config = AnalysisConfig()
-        # Keys hash the IR before annotation and SSA.
-        keys = fingerprint.summary_index(
-            program, build_call_graph(program), config
-        )
-        assert SummaryCache(str(tmp_path)).delete(
-            Engine.SUMMARIES, keys["b"]["key"]
-        )
+        with Engine(cache_dir=str(tmp_path)) as engine:
+            fingerprint_run(text, engine=engine)
+            key = engine.summary_index()["b"]["key"]
+        assert SummaryCache(str(tmp_path)).delete(Engine.SUMMARIES, key)
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint_run(text, engine=engine) == plain
             assert sorted(engine.recomputed["ret"]) == ["a", "b"]
@@ -161,10 +161,11 @@ class TestWarmCache:
         plain = fingerprint_run(text)
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint_run(text, engine=engine) == plain
+        base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint_run(text, engine=engine) == plain
-            assert engine.cache.stats.misses == 0
             assert engine.recomputed == {"ret": [], "fwd": [], "sub": []}
+        assert summary_misses(base) == 0
 
 
 class TestCodecOnlyAtTheCache:

@@ -1,13 +1,14 @@
 """Incremental re-analysis: dirty-set computation and the
 byte-identity property.
 
-The property test is the PR's load-bearing check: across ≥50 seeded
-edit scripts (literal mutations, call insertions, call deletions — the
+The property test is the load-bearing check: across ≥50 seeded edit
+scripts (literal mutations, call insertions, call deletions — the
 latter two change the call-graph shape), an incremental warm run after
-editing one procedure must (a) recompute only that procedure's SCC and
-its transitive callers, asserted via the engine's recomputed-procedure
-tracking, and (b) produce output byte-identical to a cold full run of
-the edited program.
+editing one procedure must (a) recompute exactly the manifest's dirty
+set — the edited procedure and, of its transitive callers, those whose
+callees' exports changed — asserted via the engine's
+recomputed-procedure tracking, and (b) produce output byte-identical to
+a cold full run of the edited program.
 """
 
 from __future__ import annotations
@@ -304,13 +305,18 @@ def test_clean_rerun_recomputes_nothing(tmp_path):
 
 
 class TestDiffManifest:
-    def _index(self, entries):
+    @staticmethod
+    def _manifest(entries):
         return {
-            name: {"digest": digest, "key": key}
-            for name, (digest, key) in entries.items()
+            "procedures": {
+                name: list(row) for name, row in entries.items()
+            }
         }
 
     class _FakeGraph:
+        """A call graph without cycles: every procedure is its own
+        component."""
+
         def __init__(self, edges):
             class Node:
                 def __init__(self, name):
@@ -330,43 +336,62 @@ class TestDiffManifest:
                 self._nodes[name] for name in self._edges.get(node.name, [])
             ]
 
+        def sccs(self):
+            return [[node] for node in self.nodes()]
+
     def test_cold_when_no_previous_manifest(self):
-        index = self._index({"main": ("d1", "k1")})
-        report = diff_manifest("a.f", None, index, self._FakeGraph({}))
+        new = self._manifest({"main": ("d1", "k1", "e1")})
+        report = diff_manifest("a.f", None, new, self._FakeGraph({}))
         assert report.cold
         assert report.dirty == ["main"]
         assert "cold run" in report.format()
 
     def test_classification(self):
-        old = {
-            "procedures": self._index(
-                {
-                    "main": ("dm", "km"),
-                    "p": ("dp", "kp"),
-                    "q": ("dq", "kq"),
-                    "gone": ("dg", "kg"),
-                }
-            )
-        }
-        new = self._index(
+        old = self._manifest(
             {
-                "main": ("dm", "km2"),  # downstream: key moved, digest same
-                "p": ("dp2", "kp2"),  # edited: digest moved
-                "q": ("dq", "kq"),  # clean
-                "new": ("dn", "kn"),  # added
+                "main": ("dm", "km", "em"),
+                "p": ("dp", "kp", "ep"),
+                "q": ("dq", "kq", "eq"),
+                "r": ("dr", "kr", "er"),
+                "gone": ("dg", "kg", "eg"),
             }
         )
-        graph = self._FakeGraph({"main": ["p", "q"], "p": [], "q": []})
+        new = self._manifest(
+            {
+                # downstream: key moved, digest same
+                "main": ("dm", "km2", "em"),
+                # edited, export moved
+                "p": ("dp2", "kp2", "ep2"),
+                "q": ("dq", "kq", "eq"),  # clean
+                # edited, export kept: its caller main is not blamed on it
+                "r": ("dr2", "kr2", "er"),
+                "new": ("dn", "kn", "en"),  # added
+            }
+        )
+        graph = self._FakeGraph(
+            {"main": ["p", "q", "r"], "p": [], "q": [], "r": []}
+        )
         report = diff_manifest("a.f", old, new, graph)
-        assert report.edited == ["p"]
+        assert report.edited == ["p", "r"]
         assert report.downstream == ["main"]
         assert report.added == ["new"]
         assert report.removed == ["gone"]
         assert report.clean == ["q"]
-        assert report.reasons["main"] == "calls dirty procedure(s): p"
+        assert report.reasons["main"] == "callee export changed: p"
         text = report.format()
-        assert "3/4 procedure(s) dirty" in text
+        assert "4/5 procedure(s) dirty" in text
         assert "removed     gone" in text
+
+    def test_build_manifest_keeps_hash_prefixes(self):
+        from repro.engine.incremental import build_manifest
+
+        digest, key, export = "d" * 64, "k" * 64, "e" * 64
+        manifest = build_manifest(
+            {"p": {"digest": digest, "key": key, "export": export}}
+        )
+        assert manifest == {
+            "procedures": {"p": [digest[:32], key[:32], export[:32]]}
+        }
 
     def test_format_replayed_and_roundtrip(self):
         report = InvalidationReport(path="a.f", replayed=True)

@@ -164,35 +164,41 @@ def test_one_engine_across_the_edit_matches_cold(seed, tmp_path):
     assert converted == len(recomputed), (seed, converted, recomputed)
 
 
-def test_dirty_set_crosses_the_file_boundary(tmp_path):
-    """Deterministic demonstration that invalidation follows call
-    edges across files: editing the callee's file dirties its caller
-    in the *other* file, and only the unrelated procedure stays
-    clean."""
-    main_f = (
-        "      PROGRAM MAIN\n"
-        "      EXTERNAL STEP\n"
-        "      CALL STEP(4)\n"
-        "      CALL OTHER\n"
-        "      END\n"
-    )
-    lib_f = (
-        "      SUBROUTINE STEP(N)\n"
-        "      PRINT *, N + 1\n"
-        "      RETURN\n"
-        "      END\n"
-        "\n"
-        "      SUBROUTINE OTHER\n"
-        "      PRINT *, 0\n"
-        "      RETURN\n"
-        "      END\n"
-    )
+#: A two-file project: MAIN calls STEP, which adds one to its formal,
+#: and OTHER, which nothing affects.
+CROSS_MAIN = (
+    "      PROGRAM MAIN\n"
+    "      EXTERNAL STEP\n"
+    "      K = 4\n"
+    "      CALL STEP(K)\n"
+    "      CALL OTHER\n"
+    "      PRINT *, K\n"
+    "      END\n"
+)
+CROSS_LIB = (
+    "      SUBROUTINE STEP(N)\n"
+    "      PRINT *, N + 1\n"
+    "      N = N + 1\n"
+    "      RETURN\n"
+    "      END\n"
+    "\n"
+    "      SUBROUTINE OTHER\n"
+    "      PRINT *, 0\n"
+    "      RETURN\n"
+    "      END\n"
+)
+
+
+def edit_cross_file_project(tmp_path, edited_lib):
+    """Analyze the project, then again after ``lib.f`` became
+    ``edited_lib``; returns the second run's report and recomputed
+    return summaries."""
     config = AnalysisConfig()
     cache_dir = str(tmp_path / "cache")
     main_path = tmp_path / "main.f"
     lib_path = tmp_path / "lib.f"
-    main_path.write_text(main_f)
-    lib_path.write_text(lib_f)
+    main_path.write_text(CROSS_MAIN)
+    lib_path.write_text(CROSS_LIB)
     paths = [str(main_path), str(lib_path)]
     label = project_label(paths)
 
@@ -200,19 +206,40 @@ def test_dirty_set_crosses_the_file_boundary(tmp_path):
         analyze_linked_files(paths, config, engine=engine)
         assert engine.finish_incremental(label).cold
 
-    lib_path.write_text(lib_f.replace("N + 1", "N + 2"))
+    lib_path.write_text(edited_lib)
     with Engine(cache_dir=cache_dir) as engine:
         warm, link = analyze_linked_files(paths, config, engine=engine)
         assert link.ok
         report = engine.finish_incremental(label)
         recomputed = set(engine.recomputed["ret"])
+    cold, _ = analyze_linked_files(paths, config)
+    assert render_linked(warm) == render_linked(cold)
+    return report, recomputed
 
-    # step was edited in lib.f; main (defined in main.f) calls it and
-    # is downstream-dirty; other is untouched.
+
+def test_dirty_set_crosses_the_file_boundary(tmp_path):
+    """Deterministic demonstration that invalidation follows call
+    edges across files: STEP, in lib.f, now adds two to its formal, so
+    MAIN (defined in main.f), which reads that through STEP's export,
+    is downstream-dirty; OTHER is untouched."""
+    report, recomputed = edit_cross_file_project(
+        tmp_path, CROSS_LIB.replace("N = N + 1", "N = N + 2")
+    )
     assert set(report.dirty) == {"step", "main"}
     assert recomputed == {"step", "main"}
     assert report.clean == ["other"]
-    assert report.reasons["main"] == "calls dirty procedure(s): step"
+    assert report.reasons["main"] == "callee export changed: step"
+
+
+def test_an_edit_keeping_the_export_stops_at_the_file_boundary(tmp_path):
+    """STEP's edit changes only what it prints: its export is
+    unchanged, so MAIN in the other file stays clean."""
+    report, recomputed = edit_cross_file_project(
+        tmp_path, CROSS_LIB.replace("PRINT *, N + 1", "PRINT *, N + 2")
+    )
+    assert report.dirty == ["step"]
+    assert recomputed == {"step"}
+    assert set(report.clean) == {"main", "other"}
 
 
 def test_unchanged_project_rerun_recomputes_nothing(tmp_path):

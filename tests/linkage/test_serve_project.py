@@ -200,21 +200,45 @@ class TestServeProject:
     ):
         """The chaos-smoke scenario, in-process: analyze a project,
         edit one file mid-stream, invalidate, re-analyze — the warm run
-        recomputes exactly the dirty procedures (cross-file closure)."""
+        recomputes exactly the dirty procedures (cross-file closure):
+        WORK now assigns BASE, which MAIN reads through WORK's
+        export."""
+        invalidation = self._edit_mid_stream(
+            tmp_path, project,
+            WORK_F.replace("      PRINT *, M\n",
+                           "      PRINT *, M\n      BASE = M\n"),
+        )
+        assert set(invalidation["edited"]) == {"work"}
+        assert invalidation["downstream"] == ["main"]
+        assert invalidation["dirty_count"] == 2
+
+    def test_mid_stream_edit_keeping_the_export_leaves_main_clean(
+        self, tmp_path, project
+    ):
+        """WORK's edit changes only a local value: its export is
+        unchanged, so MAIN in the other file is served from the
+        cache."""
+        invalidation = self._edit_mid_stream(
+            tmp_path, project,
+            WORK_F.replace("N * SCALE", "N * SCALE + 1"),
+        )
+        assert set(invalidation["edited"]) == {"work"}
+        assert invalidation["downstream"] == []
+        assert invalidation["dirty_count"] == 1
+
+    @staticmethod
+    def _edit_mid_stream(tmp_path, project, edited_work) -> dict:
         server = make_server(tmp_path)
         try:
             with ReproClient(server.config.socket_path) as client:
                 client.analyze_project(project)
                 with open(project[1], "w", encoding="utf-8") as handle:
-                    handle.write(WORK_F.replace("N * SCALE", "N * SCALE + 1"))
+                    handle.write(edited_work)
                 client.invalidate_project(project)
                 rerun = client.analyze_project(project)
                 result = rerun["result"]
                 assert not result["replayed"]
-                invalidation = result["invalidation"]
-                assert set(invalidation["edited"]) == {"work"}
-                assert set(invalidation["downstream"]) == {"main"}
-                assert invalidation["dirty_count"] == 2
+                return result["invalidation"]
         finally:
             server.request_stop()
             server.finish()

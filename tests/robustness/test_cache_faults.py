@@ -1,7 +1,7 @@
 """Cache integrity under injected corruption: a torn, rotted, or
-unwritable entry must degrade to a recomputation — visibly (quarantine
-stats, ``.corrupt`` sidecars, metrics) but never to a wrong or failed
-analysis."""
+unwritable entry must degrade to a recomputation — visibly (the
+``cache_quarantined`` and ``cache_store_failures`` counters,
+``.corrupt`` sidecars) but never to a wrong or failed analysis."""
 
 from __future__ import annotations
 
@@ -35,13 +35,22 @@ def corrupt_sidecars(root):
     return glob.glob(os.path.join(root, "**", "*.corrupt"), recursive=True)
 
 
+def entries(root):
+    return glob.glob(os.path.join(root, "**", "*.json"), recursive=True)
+
+
+def counted(base, name):
+    """How often the registry counted ``name`` since ``base``."""
+    return metrics.delta_since(base)["counters"].get(name, 0)
+
+
 class TestSummaryCacheUnit:
     def test_roundtrip_verifies(self, tmp_path):
         cache = SummaryCache(root=str(tmp_path))
+        base = metrics.snapshot()
         cache.put("ret", "a" * 16, {"x": 1})
         assert cache.get("ret", "a" * 16) == {"x": 1}
-        assert cache.stats.hits == 1
-        assert cache.stats.quarantined == 0
+        assert counted(base, "cache_quarantined") == 0
 
     def test_digest_mismatch_quarantines(self, tmp_path):
         cache = SummaryCache(root=str(tmp_path))
@@ -54,19 +63,18 @@ class TestSummaryCacheUnit:
         Path(path).write_text(json.dumps(wrapper))
         base = metrics.snapshot()
         assert cache.get("ret", "b" * 16) is None
-        assert cache.stats.quarantined == 1
+        assert counted(base, "cache_quarantined") == 1
         assert os.path.exists(path + ".corrupt")
         assert not os.path.exists(path)
-        delta = metrics.delta_since(base)["counters"]
-        assert delta.get("cache_quarantined") == 1
 
     def test_truncated_entry_quarantines(self, tmp_path):
         cache = SummaryCache(root=str(tmp_path))
         faults.install("truncate-cache", export_env=False)
         cache.put("ret", "c" * 16, {"x": 1})
         faults.clear()
+        base = metrics.snapshot()
         assert cache.get("ret", "c" * 16) is None
-        assert cache.stats.quarantined == 1
+        assert counted(base, "cache_quarantined") == 1
         assert corrupt_sidecars(str(tmp_path))
 
     def test_missing_wrapper_quarantines(self, tmp_path):
@@ -76,8 +84,9 @@ class TestSummaryCacheUnit:
             os.path.join(str(tmp_path), "**", "*.json"), recursive=True
         )
         Path(path).write_text(json.dumps({"x": 1}))  # pre-checksum layout
+        base = metrics.snapshot()
         assert cache.get("ret", "d" * 16) is None
-        assert cache.stats.quarantined == 1
+        assert counted(base, "cache_quarantined") == 1
 
     def test_injected_write_failure_degrades_to_no_store(self, tmp_path):
         cache = SummaryCache(root=str(tmp_path))
@@ -85,11 +94,9 @@ class TestSummaryCacheUnit:
         base = metrics.snapshot()
         cache.put("ret", "e" * 16, {"x": 1})
         faults.clear()
-        assert cache.stats.store_failures == 1
-        assert cache.stats.stores == 0
+        assert counted(base, "cache_store_failures") == 1
+        assert entries(str(tmp_path)) == []
         assert cache.get("ret", "e" * 16) is None
-        delta = metrics.delta_since(base)["counters"]
-        assert delta.get("cache_store_failures") == 1
 
     def test_digest_is_insertion_order_free(self):
         assert payload_digest({"a": 1, "b": 2}) == payload_digest(
@@ -134,8 +141,9 @@ class TestSummaryCacheUnit:
         data = Path(path).read_bytes()
         assert data.count(b"1234") == 1
         Path(path).write_bytes(data.replace(b"1234", b"1235"))
+        base = metrics.snapshot()
         assert cache.get("ret", "9" * 16) is None
-        assert cache.stats.quarantined == 1
+        assert counted(base, "cache_quarantined") == 1
         assert os.path.exists(path + ".corrupt")
 
     @pytest.mark.parametrize("rewrite", [
@@ -156,8 +164,9 @@ class TestSummaryCacheUnit:
         wrapper = json.loads(Path(path).read_text())
         assert wrapper["sha256"] == payload_digest(wrapper["body"])
         Path(path).write_text(rewrite(wrapper))
+        base = metrics.snapshot()
         assert cache.get("ret", "8" * 16) is None
-        assert cache.stats.quarantined == 1
+        assert counted(base, "cache_quarantined") == 1
 
 
 class TestEngineUnderCacheFaults:
@@ -172,9 +181,7 @@ class TestEngineUnderCacheFaults:
         base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
-            assert engine.cache.stats.quarantined > 0
-        delta = metrics.delta_since(base)["counters"]
-        assert delta.get("cache_quarantined", 0) > 0
+        assert counted(base, "cache_quarantined") > 0
         assert corrupt_sidecars(str(tmp_path))
 
     def test_rotted_digest_recomputes_identically(self, tmp_path):
@@ -183,17 +190,19 @@ class TestEngineUnderCacheFaults:
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
         faults.clear()
+        base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
-            assert engine.cache.stats.quarantined > 0
+        assert counted(base, "cache_quarantined") > 0
 
     def test_unwritable_cache_still_analyzes(self, tmp_path):
         truth = fingerprint(TRI_PROGRAM)
         faults.install("fail-write", export_env=False)
+        base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
-            assert engine.cache.stats.store_failures > 0
-            assert engine.cache.stats.stores == 0
+        assert counted(base, "cache_store_failures") > 0
+        assert entries(str(tmp_path)) == []
 
 
 class TestProvenanceEntryFaults:

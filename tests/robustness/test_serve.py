@@ -302,7 +302,8 @@ class TestServeFaults:
                 assert content_of(second) == content_of(first)
                 assert content_of(second) == serial_truth()
                 status = client.status()["result"]
-                assert status["cache"]["quarantined"] > 0
+                assert status["cache"]["cache_quarantined"] > 0
+                assert status["cache"]["summary_cache_misses"] > 0
                 assert status["counters"].get("cache_quarantined", 0) > 0
         finally:
             server.request_stop()

@@ -126,12 +126,30 @@ class TestEngineFlags:
         assert "cold run" in capsys.readouterr().out
         assert main(["analyze", program_file] + flags) == 0
         assert "replayed from the run cache" in capsys.readouterr().out
+        # S now modifies its formal: MAIN reads that through S's export.
+        with open(program_file, "w") as handle:
+            handle.write(PROGRAM.replace("A = K + 1", "K = K + 1"))
+        assert main(["analyze", program_file] + flags) == 0
+        out = capsys.readouterr().out
+        assert "edited      s: lowered IR changed" in out
+        assert "downstream  main: callee export changed: s" in out
+
+    def test_explain_invalidation_edit_keeping_the_export(
+        self, program_file, tmp_path, capsys
+    ):
+        """S's edit changes only a local value: S's export is
+        unchanged, so MAIN is served from the cache."""
+        flags = ["--cache-dir", str(tmp_path / "cache"),
+                 "--explain-invalidation"]
+        assert main(["analyze", program_file] + flags) == 0
+        capsys.readouterr()
         with open(program_file, "w") as handle:
             handle.write(PROGRAM.replace("K + 1", "K + 2"))
         assert main(["analyze", program_file] + flags) == 0
         out = capsys.readouterr().out
+        assert "1/2 procedure(s) dirty, 1 served from cache" in out
         assert "edited      s: lowered IR changed" in out
-        assert "downstream  main: calls dirty procedure(s): s" in out
+        assert "downstream" not in out
 
     def test_explain_invalidation_implies_cache(self, program_file, capsys):
         import os
