@@ -994,7 +994,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
     from repro.engine.batch import read_stdin_list, run_batch
-    from repro.engine.incremental import format_invalidation
 
     config = _config_from_args(args)
     if config.complete:
@@ -1024,7 +1023,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # exit-code contract: 2 on link failure).
         return _cmd_request(args, paths)
     if len(paths) > 1:
-        from repro.linkage.linker import duplicate_units_across_files
+        from repro.engine.batch import duplicate_units_across_files
 
         for name, where in sorted(
             duplicate_units_across_files(paths).items()
@@ -1084,6 +1083,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if outcome.diagnostics and not outcome.error:
             print(outcome.diagnostics, file=sys.stderr)
         if args.explain_invalidation and outcome.invalidation is not None:
+            from repro.engine.incremental import format_invalidation
+
             print(format_invalidation(outcome.invalidation))
     totals = result.totals()
     print(

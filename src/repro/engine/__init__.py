@@ -1,5 +1,5 @@
-"""The analysis engine: a persistent content-addressed summary cache,
-incremental re-analysis, and the batch driver.
+"""The analysis engine: a persistent summary cache, incremental
+re-analysis, and the batch driver.
 
 :class:`~repro.engine.core.Engine` is the only object callers touch; it
 plugs into :func:`repro.ipcp.driver.analyze_prepared` (and the
@@ -8,18 +8,24 @@ forward-function / substitution stages against the cache, with outputs
 byte-identical to the plain driver's. Parallelism lives one level up,
 across files in :func:`~repro.engine.batch.run_batch`. See
 ``docs/PERFORMANCE.md``.
+
+Public names resolve lazily (:mod:`repro._lazy`), so a cacheless
+``repro batch`` loads the batch driver and the engine but none of the
+cache modules.
 """
 
-from repro.engine.batch import BatchResult, FileOutcome, run_batch
-from repro.engine.cache import SummaryCache, default_cache_root
-from repro.engine.core import Engine
-from repro.engine.fingerprint import (
-    ENGINE_CACHE_VERSION,
-    config_fingerprint,
-    procedure_digest,
-    source_digest,
-)
-from repro.engine.incremental import InvalidationReport, diff_manifest
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.batch": ("BatchResult", "FileOutcome", "run_batch"),
+    "repro.engine.cache": ("SummaryCache", "default_cache_root"),
+    "repro.engine.core": ("Engine",),
+    "repro.engine.fingerprint": (
+        "ENGINE_CACHE_VERSION", "config_fingerprint", "procedure_digest",
+        "source_digest",
+    ),
+    "repro.engine.incremental": ("InvalidationReport", "diff_manifest"),
+})
 
 __all__ = [
     "BatchResult",

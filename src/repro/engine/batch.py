@@ -15,8 +15,9 @@ caller's input order regardless.
 
 Every file is one :func:`repro.pipeline.run` request, the same
 replay-or-analyze core ``repro analyze`` and the daemon call: run-level
-replay first, then resilient analysis, the ``run``/``opt`` records and
-the incremental manifest update. A batch run leaves the cache exactly
+replay first, then resilient analysis (which rewrites the file's
+summary pack and manifest), the ``run``/``opt`` records and the
+incremental report. A batch run leaves the cache exactly
 as N sequential ``analyze --cache`` runs would, and a later incremental
 batch recomputes only the dirty procedures of edited files.
 """
@@ -24,6 +25,7 @@ batch recomputes only the dirty procedures of edited files.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -217,6 +219,44 @@ def analyze_one(
             obs_metrics.pop_scope()
 
 
+# -- cheap duplicate scan (per-file batch advisory) --------------------------
+
+_UNIT_HEADER = re.compile(
+    r"^\s{0,10}(?:PROGRAM|SUBROUTINE|INTEGER\s+FUNCTION|BLOCK\s*DATA)"
+    r"\s+([A-Za-z][A-Za-z0-9_]*)",
+    re.IGNORECASE | re.MULTILINE,
+)
+
+
+def scan_unit_names(text: str) -> List[str]:
+    """Cheap lexical scan of the top-level unit names in ``text``
+    (lower-cased, in order). Used by per-file batch mode to warn about
+    duplicate names across files without paying for a second parse."""
+    return [match.group(1).lower() for match in _UNIT_HEADER.finditer(text)]
+
+
+def duplicate_units_across_files(paths: Sequence[str]) -> Dict[str, List[str]]:
+    """Unit names defined by more than one of ``paths``, mapped to the
+    defining files (in input order). Per-file batch mode uses this to
+    diagnose the silent-collision hazard deterministically; unreadable
+    files are skipped here (the batch itself reports their I/O errors).
+    """
+    seen: Dict[str, List[str]] = {}
+    for path in paths:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError):
+            continue
+        for name in scan_unit_names(text):
+            files = seen.setdefault(name, [])
+            if path not in files:
+                files.append(path)
+    return {
+        name: files for name, files in sorted(seen.items()) if len(files) > 1
+    }
+
+
 def _schedule(paths: Sequence[str]) -> List[str]:
     """Big-first (LPT) submission order, sizes from the filesystem.
 
@@ -304,7 +344,8 @@ def run_batch(
     # rebuilt once and the unfinished files resubmitted after a
     # jittered backoff; a second break demotes the rest of the batch
     # to in-process serial analysis. Per-file work is idempotent
-    # (replay/summary caches are content-addressed), so resubmission
+    # (replay entries are content-addressed, a file's summary pack is
+    # rewritten whole), so resubmission
     # never changes a result — only where it was computed.
     import multiprocessing as mp
 

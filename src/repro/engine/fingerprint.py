@@ -67,7 +67,9 @@ from repro.ir.printer import format_procedure
 #: (the ``ret`` and ``fwd`` namespaces are gone).
 #: v6: a component's key hashes its outside callees' exports instead of
 #: their keys, and a ``sum`` entry stores its return summary's hash.
-ENGINE_CACHE_VERSION = 6
+#: v7: a file's ``sum`` and ``sub`` entries and its manifest live in one
+#: pack per (path, config); the ``man`` namespace is gone.
+ENGINE_CACHE_VERSION = 7
 
 
 def _sha(parts: List[str]) -> str:

@@ -12,9 +12,11 @@ the engine really did confine recomputation to that set.
 This module adds that accounting. A **manifest** is a per-(path,
 config) snapshot of the engine's
 :meth:`~repro.engine.core.Engine.summary_index` — one ``[digest, key,
-export]`` row per procedure — stored in the cache under the ``man``
-namespace after every engine run. Diffing the previous manifest against
-the current one classifies every procedure:
+export]`` row per procedure — stored in the index of the path's pack
+(:class:`~repro.engine.cache.Pack`, keyed by :func:`manifest_key`)
+when a run ends. The engine reads the previous manifest with the pack
+when the next run starts, and diffing it against the current one
+classifies every procedure:
 
 - **edited** — its own digest changed (its lowered IR, its interface,
   the COMMON members it declares, or the program's scalar globals);
@@ -43,12 +45,9 @@ from typing import Dict, List, Optional
 
 from repro.engine.fingerprint import _sha, config_fingerprint
 
-#: Cache namespace holding one manifest per (path, config fingerprint).
-MANIFEST_NAMESPACE = "man"
-
-
 def manifest_key(path: str, config) -> str:
-    """Cache key of the manifest for ``path`` under ``config``.
+    """Key of the pack, and so of the manifest, of ``path`` under
+    ``config``.
 
     Keyed by *path* (absolutized, so relative and absolute spellings of
     one file share a history), not content — the manifest's job is to

@@ -333,6 +333,7 @@ def analyze_program(
     config: Optional[AnalysisConfig] = None,
     resilience: Optional[ResilienceReport] = None,
     engine=None,
+    path: str = "<string>",
 ) -> AnalysisResult:
     """Analyze a freshly lowered (non-SSA) program under ``config``.
 
@@ -342,10 +343,12 @@ def analyze_program(
 
     ``engine`` caches the per-procedure stages (see
     :func:`analyze_prepared`); it is started on the program right after
-    the call graph and MOD/REF, before any procedure is converted.
-    Complete propagation re-runs the pipeline on programs it mutates
-    between rounds, which would defeat every content-keyed cache — it
-    always runs without the engine.
+    the call graph and MOD/REF, before any procedure is converted, with
+    ``path`` (the analyzed file, or a linked project's label) naming
+    the summaries it reads and writes, and finished when the run ends
+    or aborts. Complete propagation re-runs the pipeline on programs it
+    mutates between rounds, which would defeat every content-keyed
+    cache — it always runs without the engine.
     """
     config = config or AnalysisConfig()
     resilience = resilience if resilience is not None else ResilienceReport()
@@ -357,7 +360,7 @@ def analyze_program(
         if engine is None:
             prepared.complete()
         else:
-            engine.start(prepared, config)
+            engine.start(prepared, config, path)
     if config.verify_ir:
         prepared.complete()
         _maybe_verify(program, config, ssa=True, stage="SSA construction")
@@ -368,7 +371,15 @@ def analyze_program(
         return run_complete_propagation(
             program, prepared.callgraph, prepared.modref, config, resilience
         )
-    return analyze_prepared(prepared, config, resilience, engine=engine)
+    if engine is None:
+        return analyze_prepared(prepared, config, resilience)
+    try:
+        result = analyze_prepared(prepared, config, resilience, engine=engine)
+    except BaseException:
+        engine.finish(aborted=True)
+        raise
+    engine.finish()
+    return result
 
 
 def analyze_source(
@@ -392,7 +403,7 @@ def analyze_source(
         module = parse(text, filename)
     with stage("lower"):
         program = lower_module(module, SourceFile(filename, text))
-    return analyze_program(program, config, engine=engine)
+    return analyze_program(program, config, engine=engine, path=filename)
 
 
 def analyze_source_resilient(
@@ -423,7 +434,7 @@ def analyze_source_resilient(
     except SemanticError as err:
         diag.error(E_SEMANTIC, err.message, err.location)
         return None, diag
-    result = analyze_program(program, config, engine=engine)
+    result = analyze_program(program, config, engine=engine, path=filename)
     result.diagnostics = diag
     return result, diag
 

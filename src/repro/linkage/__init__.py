@@ -17,12 +17,10 @@ from repro.linkage.linker import (
     LinkUnit,
     analyze_linked_files,
     analyze_linked_sources,
-    duplicate_units_across_files,
     link_files,
     link_sources,
     project_bundle_text,
     project_label,
-    scan_unit_names,
 )
 
 __all__ = [
@@ -30,10 +28,8 @@ __all__ = [
     "LinkUnit",
     "analyze_linked_files",
     "analyze_linked_sources",
-    "duplicate_units_across_files",
     "link_files",
     "link_sources",
     "project_bundle_text",
     "project_label",
-    "scan_unit_names",
 ]

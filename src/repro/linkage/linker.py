@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -404,7 +403,10 @@ def analyze_linked_sources(
     except SemanticError as err:
         link.diagnostics.error(E_SEMANTIC, err.message, err.location)
         return None, link
-    result = analyze_program(program, config, engine=engine)
+    result = analyze_program(
+        program, config, engine=engine,
+        path=project_label([name for name, _ in named], entry),
+    )
     result.diagnostics = link.diagnostics
     return result, link
 
@@ -431,7 +433,9 @@ def analyze_linked_files(
     except SemanticError as err:
         link.diagnostics.error(E_SEMANTIC, err.message, err.location)
         return None, link
-    result = analyze_program(program, config, engine=engine)
+    result = analyze_program(
+        program, config, engine=engine, path=project_label(paths, entry)
+    )
     result.diagnostics = link.diagnostics
     return result, link
 
@@ -456,49 +460,11 @@ def project_bundle_text(
 
 
 def project_label(paths: Sequence[str], entry: Optional[str] = None) -> str:
-    """Stable synthetic path naming a linked project in the incremental
-    manifest namespace. Rooted at ``/`` so
+    """Stable synthetic path naming a linked project's summary pack
+    (and so its incremental manifest). Rooted at ``/`` so
     :func:`repro.engine.incremental.manifest_key`'s ``abspath`` cannot
     make it depend on the working directory."""
     digest = hashlib.sha256(
         "\x00".join([entry or ""] + [os.path.abspath(p) for p in paths]).encode()
     ).hexdigest()
     return f"/repro-linked/{digest[:24]}"
-
-
-# -- cheap duplicate scan (per-file batch advisory) --------------------------
-
-_UNIT_HEADER = re.compile(
-    r"^\s{0,10}(?:PROGRAM|SUBROUTINE|INTEGER\s+FUNCTION|BLOCK\s*DATA)"
-    r"\s+([A-Za-z][A-Za-z0-9_]*)",
-    re.IGNORECASE | re.MULTILINE,
-)
-
-
-def scan_unit_names(text: str) -> List[str]:
-    """Cheap lexical scan of the top-level unit names in ``text``
-    (lower-cased, in order). Used by per-file batch mode to warn about
-    duplicate names across files without paying for a second parse."""
-    return [match.group(1).lower() for match in _UNIT_HEADER.finditer(text)]
-
-
-def duplicate_units_across_files(paths: Sequence[str]) -> Dict[str, List[str]]:
-    """Unit names defined by more than one of ``paths``, mapped to the
-    defining files (in input order). Per-file batch mode uses this to
-    diagnose the silent-collision hazard deterministically; unreadable
-    files are skipped here (the batch itself reports their I/O errors).
-    """
-    seen: Dict[str, List[str]] = {}
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError):
-            continue
-        for name in scan_unit_names(text):
-            files = seen.setdefault(name, [])
-            if path not in files:
-                files.append(path)
-    return {
-        name: files for name, files in sorted(seen.items()) if len(files) > 1
-    }

@@ -13,6 +13,13 @@ on::
     render — everything else inside the request (response encoding,
              cache serialization): total minus the accounted buckets
 
+The request's cyclic-GC pauses are summed apart (``gc_ms``): the daemon
+registers :meth:`RequestTimeline.gc_pause` in ``gc.callbacks`` for the
+request's lifetime. A pause is left inside whatever stage (or bucket)
+it interrupted — stage times are wall times — so ``gc_ms`` tells a
+reader how much of them was the collector's, often collecting garbage
+made earlier.
+
 Stage timings come from the one stage recorder,
 :func:`repro.obs.trace.stage`: the daemon pushes the request's timeline
 as a stage sink on its dispatcher thread, so stage attribution is exact
@@ -70,8 +77,10 @@ class RequestTimeline:
         "replayed",
         "total_s",
         "started_at",
+        "gc_s",
         "_start",
         "_sums",
+        "_gc_start",
     )
 
     def __init__(
@@ -90,8 +99,11 @@ class RequestTimeline:
         self.replayed = False
         self.total_s = 0.0
         self.started_at = time.time()
+        #: Seconds of cyclic-GC pauses seen by :meth:`gc_pause`.
+        self.gc_s = 0.0
         self._start = time.perf_counter()
         self._sums = {"parse": 0.0, "solve": 0.0, "opt": 0.0}
+        self._gc_start: Optional[float] = None
 
     def record_stage(self, name: str, seconds: float, nested: bool) -> None:
         """Sink protocol of :func:`repro.obs.trace.stage`: every stage
@@ -100,6 +112,15 @@ class RequestTimeline:
         bucket = None if nested else classify_stage(name)
         if bucket is not None:
             self._sums[bucket] += seconds
+
+    def gc_pause(self, phase: str, info: dict) -> None:
+        """``gc.callbacks`` protocol: sums the time between each
+        collection's ``start`` and ``stop``."""
+        if phase == "start":
+            self._gc_start = time.perf_counter()
+        elif self._gc_start is not None:
+            self.gc_s += time.perf_counter() - self._gc_start
+            self._gc_start = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -138,6 +159,7 @@ class RequestTimeline:
         record["total_ms"] = round(
             (self.queue_s + self.total_s) * 1000.0, 3
         )
+        record["gc_ms"] = round(self.gc_s * 1000.0, 3)
         return record
 
 

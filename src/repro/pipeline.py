@@ -15,11 +15,13 @@ request renders. A replay copies the sections out of the recorded
 ``run``/``prov``/``opt`` entries. Otherwise it analyzes the same text,
 builds provenance at most once, records the ``run`` and ``prov``
 entries before optimizing (their renderings describe the analyzed
-program) and the ``opt`` entry after, then writes the incremental
-manifest and releases the engine's hold on the analyzed program. A
-``run`` entry holds the sections its request rendered, plus those of
-the entry the replay read and could not use (same key, same analysis),
-so requests that show different sections never evict each other's.
+program) and the ``opt`` entry after, then diffs the incremental
+manifests (the engine wrote the new one with the file's summary pack
+when the analysis ended) and releases the engine's hold on the
+analyzed program. A ``run`` entry holds the sections its request
+rendered, plus those of the entry the replay read and could not use
+(same key, same analysis), so requests that show different sections
+never evict each other's.
 Live and replayed outcomes are filled by the same function
 (:func:`_fill`), so the two render identically.
 """

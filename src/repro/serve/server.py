@@ -33,6 +33,7 @@ The robustness core, mapped to code:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import queue
@@ -476,6 +477,7 @@ class ReproServer:
             queue_s=queue_s,
         )
         trace.push_sink(timeline)
+        gc.callbacks.append(timeline.gc_pause)
         scoped = obs_metrics.push_scope()
         if obs_log.ENABLED:
             obs_log.info(
@@ -550,6 +552,7 @@ class ReproServer:
                     )
         finally:
             obs_metrics.pop_scope(merge=True)
+            gc.callbacks.remove(timeline.gc_pause)
             trace.pop_sink()
             obs_context.set_context(self._server_ctx)
         timeline.finish(status, replayed=replayed)
@@ -640,9 +643,10 @@ class ReproServer:
     def _pipeline_request(self, request, explain: Optional[str] = None):
         """The pipeline request for a file (``path``) or a linked
         project (``params.project``/``params.entry``). The run cache is
-        keyed on a project's injective bundle text and its manifest on
-        the synthetic project label, so a daemon alternating between a
-        project and its member files never mixes their entries."""
+        keyed on a project's injective bundle text and its summary pack
+        (with its manifest) on the synthetic project label, so a daemon
+        alternating between a project and its member files never mixes
+        their entries."""
         project = request.params.get("project")
         return pipeline.Request(
             self.config.analysis,
@@ -715,7 +719,7 @@ class ReproServer:
         """Evict the whole-run replay entry (and its provenance) keyed
         on the *current* content of a file or a project's files,
         forcing the next ``analyze`` through the engine (where the
-        summary cache + manifest diff recompute exactly the dirty set —
+        file's summary pack + manifest diff recompute exactly the dirty set —
         for an unchanged file, nothing)."""
         obs_metrics.inc("serve_invalidations")
         pipe_request = self._pipeline_request(request)

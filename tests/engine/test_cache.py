@@ -68,6 +68,91 @@ class TestSummaryCacheStore:
         assert default_cache_root() == os.path.join("/xdg", "repro")
 
 
+def cache_files(root) -> dict:
+    """Every file under the cache ``root``, relative path -> bytes."""
+    files = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, root)] = handle.read()
+    return files
+
+
+class TestPack:
+    """A file's summaries and manifest are one pack: a cached run
+    creates one summary file however many procedures it analyzed."""
+
+    @pytest.fixture(scope="class")
+    def scaled(self):
+        from repro.suite.generator import ScaleConfig, generate_scaled_program
+
+        return generate_scaled_program(
+            0, ScaleConfig(procedures=300, layer_width=32)
+        )
+
+    @staticmethod
+    def analyze(path, text, engine):
+        from repro.pipeline import Request, run as run_request
+
+        path.write_text(text)
+        outcome = run_request(Request(AnalysisConfig(), path=str(path)),
+                              engine)
+        assert outcome.ok and not outcome.replayed
+        return outcome
+
+    def test_cold_run_leaves_one_pack_and_one_run_entry(self, tmp_path,
+                                                        scaled):
+        cache = tmp_path / "cache"
+        with Engine(cache_dir=str(cache)) as engine:
+            self.analyze(tmp_path / "big.f", scaled, engine)
+        files = sorted(cache_files(cache))
+        assert [os.path.dirname(os.path.dirname(f)) for f in files] == [
+            os.path.join(f"v{fingerprint.ENGINE_CACHE_VERSION}", "pack"),
+            os.path.join(f"v{fingerprint.ENGINE_CACHE_VERSION}", "run"),
+        ]
+        assert files[0].endswith(".pack")
+
+    def test_an_edit_replaces_the_pack_without_adding_files(self, tmp_path,
+                                                            scaled):
+        import re
+
+        cache = tmp_path / "cache"
+        path = tmp_path / "big.f"
+        edited = re.sub(r"(?m)^(      \w+ = )(-?\d+)$",
+                        lambda m: m.group(1) + str(int(m.group(2)) + 1),
+                        scaled, count=1)
+        assert edited != scaled
+        with Engine(cache_dir=str(cache)) as engine:
+            self.analyze(path, scaled, engine)
+            before = cache_files(cache)
+            outcome = self.analyze(path, edited, engine)
+        after = cache_files(cache)
+        assert 0 < len(outcome.invalidation["edited"]) < 300
+        [pack] = [name for name in before if name.endswith(".pack")]
+        assert after[pack] != before[pack]
+        added = set(after) - set(before)
+        assert len(added) == 1 and f"{os.sep}run{os.sep}" in added.pop()
+
+    def test_a_pack_round_trips_its_entries_and_manifest(self, tmp_path):
+        cache = SummaryCache(str(tmp_path))
+        writer = cache.pack_writer("ab" * 32)
+        writer.put("sum", "k1", {"b": 1, "a": [2]})
+        writer.copy("sub", "k2", b'{"x":3}')
+        writer.put("sum", "k1", {"a": 0})  # a later entry replaces it
+        writer.commit({"procedures": {"p": ["d", "k", "e"]}})
+        pack = cache.read_pack("ab" * 32)
+        assert json.loads(pack.body("sum", "k1")) == {"a": 0}
+        assert pack.body("sub", "k2") == b'{"x":3}'
+        assert pack.body("sub", "k1") is None
+        assert pack.manifest() == b'{"procedures":{"p":["d","k","e"]}}'
+        assert sorted(pack.items()) == [
+            ("sub", "k2", b'{"x":3}'), ("sum", "k1", b'{"a":0}'),
+        ]
+        pack.close()
+        assert cache.read_pack("cd" * 32) is None
+
+
 class TestWarmRuns:
     def test_warm_run_hits_everything_and_matches(self, tmp_path):
         serial = outputs(run())

@@ -3,6 +3,7 @@ driver byte-for-byte — same CONSTANTS report, substitution counts,
 transformed source and demotion log — both cold (every summary built
 and stored) and warm (every summary decoded from the cache)."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.config import AnalysisBudget, AnalysisConfig
 from repro.engine import Engine, summaries
 from repro.engine.cache import SummaryCache
+from repro.engine.incremental import manifest_key
 from repro.ipcp.driver import analyze_source
 from repro.obs import metrics
 from repro.suite.generator import GeneratorConfig, generate_case
@@ -51,6 +53,21 @@ def assert_cold_and_warm_match(text, cache_dir, config=None):
         assert fingerprint_run(text, config, engine) == plain, "warm"
     assert summary_misses(base) == 0
     return plain
+
+
+def drop_pack_entry(cache_dir, namespace, key, path="<string>"):
+    """Rewrite ``path``'s pack (default configuration) without the
+    entry ``namespace``/``key``, which it must hold."""
+    cache = SummaryCache(cache_dir)
+    pack_key = manifest_key(path, AnalysisConfig())
+    pack = cache.read_pack(pack_key)
+    assert pack.body(namespace, key) is not None
+    writer = cache.pack_writer(pack_key)
+    for entry_namespace, entry_key, body in pack.items():
+        if (entry_namespace, entry_key) != (namespace, key):
+            writer.copy(entry_namespace, entry_key, body)
+    writer.commit(json.loads(pack.manifest()))
+    pack.close()
 
 
 class TestSerialEngineParity:
@@ -130,15 +147,16 @@ class TestRecursiveComponents:
         assert_cold_and_warm_match(RECURSIVE[shape], str(tmp_path))
 
     def test_partial_component_hit_rebuilds_the_component(self, tmp_path):
-        """Deleting ``b``'s entry rebuilds the return summaries of its
-        whole component and ``b``'s forward functions (they share the
-        entry); ``a``'s forward functions still come from ``a``'s."""
+        """Dropping ``b``'s entry from the pack rebuilds the return
+        summaries of its whole component and ``b``'s forward functions
+        (they share the entry); ``a``'s forward functions still come
+        from ``a``'s."""
         text = RECURSIVE["mutual"]
         plain = assert_cold_and_warm_match(text, str(tmp_path))
         with Engine(cache_dir=str(tmp_path)) as engine:
             fingerprint_run(text, engine=engine)
             key = engine.summary_index()["b"]["key"]
-        assert SummaryCache(str(tmp_path)).delete(Engine.SUMMARIES, key)
+        drop_pack_entry(str(tmp_path), Engine.SUMMARIES, key)
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint_run(text, engine=engine) == plain
             assert sorted(engine.recomputed["ret"]) == ["a", "b"]

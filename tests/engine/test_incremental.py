@@ -284,6 +284,59 @@ def test_one_engine_across_the_edit_matches_cold(seed, tmp_path):
     assert converted == len(recomputed), (seed, converted, recomputed)
 
 
+@pytest.mark.parametrize("seed", range(54))
+def test_kept_location_digests_equal_fresh_ones(seed, tmp_path):
+    """Through one engine, an edit computes location digests only for
+    the units it re-parsed and keeps the others' with their units; on
+    every edit script, line-inserting ones included, each digest the
+    warm run used equals one computed afresh."""
+    from repro.engine.fingerprint import location_digest
+
+    source = generate_program(seed, GEN_CONFIG)
+    edited_source, _ = apply_edit(source, seed)
+    path = tmp_path / "prog.f"
+    path.write_text(source)
+    with Engine(cache_dir=str(tmp_path / "cache")) as engine:
+        analyze_file(str(path), AnalysisConfig(), engine=engine)
+        path.write_text(edited_source)
+        warm = analyze_file(str(path), AnalysisConfig(), engine=engine)
+        used = dict(engine._loc_digests)
+    assert used == {p.name: location_digest(p) for p in warm.program}
+
+
+def test_a_literal_edit_computes_digests_only_for_parsed_units(
+    tmp_path, monkeypatch
+):
+    from repro.engine import fingerprint
+    from repro.suite.generator import ScaleConfig, generate_scaled_program
+
+    source = generate_scaled_program(
+        0, ScaleConfig(procedures=300, layer_width=32)
+    )
+    edited = re.sub(r"(?m)^(      \w+ = )(-?\d+)$",
+                    lambda m: m.group(1) + str(int(m.group(2)) + 1),
+                    source, count=1)
+    path = tmp_path / "big.f"
+    path.write_text(source)
+    computed = []
+    real = fingerprint.location_digest
+
+    def counting(procedure):
+        computed.append(procedure.name)
+        return real(procedure)
+
+    monkeypatch.setattr(fingerprint, "location_digest", counting)
+    with Engine(cache_dir=str(tmp_path / "cache")) as engine:
+        analyze_file(str(path), AnalysisConfig(), engine=engine)
+        assert len(computed) == 301  # MAIN and P0-P299
+        computed.clear()
+        path.write_text(edited)
+        before = metrics.snapshot()
+        analyze_file(str(path), AnalysisConfig(), engine=engine)
+    parsed = parse_counters(before)["parse_units_parsed"]
+    assert 1 <= len(computed) <= parsed
+
+
 def test_clean_rerun_recomputes_nothing(tmp_path):
     source = generate_program(3, GEN_CONFIG)
     path = tmp_path / "prog.f"

@@ -7,14 +7,13 @@ import os
 import pytest
 
 from repro.diagnostics import E_IO, E_LINK, W_LINK, Severity
+from repro.engine.batch import duplicate_units_across_files, scan_unit_names
 from repro.linkage import (
     analyze_linked_sources,
-    duplicate_units_across_files,
     link_files,
     link_sources,
     project_bundle_text,
     project_label,
-    scan_unit_names,
 )
 
 MAIN_F = (

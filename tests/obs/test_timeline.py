@@ -90,6 +90,22 @@ class TestRequestTimeline:
         assert entry["total_ms"] >= entry["queue_ms"]
 
 
+    def test_gc_pauses_are_summed_apart(self, monkeypatch):
+        clock = iter([1.0, 1.25, 2.0, 2.5])
+        t = RequestTimeline("r1")
+        monkeypatch.setattr(timeline.time, "perf_counter",
+                            lambda: next(clock))
+        t.gc_pause("start", {"generation": 0})
+        t.gc_pause("stop", {"generation": 0})
+        t.gc_pause("stop", {"generation": 0})  # no start seen: ignored
+        t.gc_pause("start", {"generation": 2})
+        t.gc_pause("stop", {"generation": 2})
+        assert t.gc_s == pytest.approx(0.75)
+        monkeypatch.undo()
+        t.finish("ok")
+        assert t.entry()["gc_ms"] == pytest.approx(750.0)
+
+
 class TestSinkStack:
     def test_push_pop_nesting(self):
         outer = RequestTimeline("outer")

@@ -36,7 +36,13 @@ def corrupt_sidecars(root):
 
 
 def entries(root):
-    return glob.glob(os.path.join(root, "**", "*.json"), recursive=True)
+    """Every stored entry and pack under ``root``."""
+    return [
+        path
+        for pattern in ("*.json", "*.pack")
+        for path in glob.glob(os.path.join(root, "**", pattern),
+                              recursive=True)
+    ]
 
 
 def counted(base, name):
@@ -186,7 +192,7 @@ class TestEngineUnderCacheFaults:
 
     def test_rotted_digest_recomputes_identically(self, tmp_path):
         truth = fingerprint(TRI_PROGRAM)
-        faults.install("corrupt-cache:namespace=sum", export_env=False)
+        faults.install("corrupt-cache:namespace=pack", export_env=False)
         with Engine(cache_dir=str(tmp_path)) as engine:
             assert fingerprint(TRI_PROGRAM, engine=engine) == truth
         faults.clear()
@@ -243,3 +249,71 @@ class TestProvenanceEntryFaults:
         assert capsys.readouterr().out == cold
         assert delta.get("parses", 0) == 0, "re-recorded entry replays"
         assert not delta.get("cache_quarantined")
+
+
+class TestPackFaults:
+    """Each fault aimed at the pack's namespace degrades the next run of
+    that file to a cold rebuild that prints byte-identically."""
+
+    EDITED = TRI_PROGRAM.replace("N = 100", "N = 101")
+
+    @staticmethod
+    def analyze(path, text, capsys, cache=None):
+        """``repro analyze`` of ``text`` saved at ``path``: its answer
+        and, with a ``cache``, its invalidation section."""
+        path.write_text(text)
+        argv = ["analyze", str(path)]
+        if cache is not None:
+            argv += ["--cache-dir", cache, "--explain-invalidation"]
+        assert main(argv) == 0
+        answer, _, invalidation = capsys.readouterr().out.partition(
+            "\n--- invalidation ---\n"
+        )
+        return answer, invalidation
+
+    @pytest.mark.parametrize("spec,counter", [
+        ("corrupt-cache:namespace=pack", "cache_quarantined"),
+        ("truncate-cache:namespace=pack", "cache_quarantined"),
+        ("fail-write:namespace=pack", "cache_store_failures"),
+    ])
+    def test_a_bad_pack_rebuilds_the_file_cold(self, tmp_path, capsys,
+                                               spec, counter):
+        source = tmp_path / "tri.f"
+        cache = str(tmp_path / "cache")
+        plain = [self.analyze(source, text, capsys)[0]
+                 for text in (TRI_PROGRAM, self.EDITED)]
+        faults.install(spec, export_env=False)
+        base = metrics.snapshot()
+        cold, _ = self.analyze(source, TRI_PROGRAM, capsys, cache)
+        faults.clear()
+        # An edit misses the run cache, so the engine reads the pack.
+        edited, invalidation = self.analyze(
+            source, self.EDITED, capsys, cache
+        )
+        assert counted(base, counter) == 1
+        assert "no previous manifest — cold run" in invalidation
+        assert [cold, edited] == plain
+        assert not glob.glob(os.path.join(cache, "**", "*.tmp"),
+                             recursive=True)
+
+    def test_a_failed_write_keeps_the_previous_pack(self, tmp_path,
+                                                    capsys):
+        source = tmp_path / "tri.f"
+        cache = str(tmp_path / "cache")
+        self.analyze(source, TRI_PROGRAM, capsys, cache)
+        [pack] = glob.glob(os.path.join(cache, "**", "*.pack"),
+                           recursive=True)
+        before = Path(pack).read_bytes()
+        faults.install("fail-write:namespace=pack", export_env=False)
+        base = metrics.snapshot()
+        self.analyze(source, self.EDITED, capsys, cache)
+        faults.clear()
+        assert counted(base, "cache_store_failures") == 1
+        assert Path(pack).read_bytes() == before
+        assert not glob.glob(os.path.join(cache, "**", "*.tmp"),
+                             recursive=True)
+        # The next run still diffs against the manifest kept in it.
+        _, invalidation = self.analyze(
+            source, TRI_PROGRAM.replace("N = 100", "N = 102"), capsys, cache
+        )
+        assert "edited      main:" in invalidation

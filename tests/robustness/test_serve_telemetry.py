@@ -245,6 +245,47 @@ class TestTraceArtifact:
         assert entry["solve_ms"] == pytest.approx(solve_us / 1000, abs=5e-4)
 
 
+class TestGcPauses:
+    def test_a_collection_inside_a_stage_is_reported(self, workdir,
+                                                     monkeypatch):
+        """A request that forces a collection inside its propagate stage
+        reports the pause as ``gc_ms``, in its ring entry and in its
+        ``request.slow`` record; the stage's time still holds it."""
+        import gc
+
+        from repro.ipcp import driver
+
+        real_propagate = driver.propagate
+
+        def collecting(*args, **kwargs):
+            for _ in range(20000):
+                cycle = []
+                cycle.append(cycle)
+            gc.collect()
+            return real_propagate(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "propagate", collecting)
+        callbacks = list(gc.callbacks)
+        log_path = workdir / "serve.log"
+        server = make_server(
+            workdir, log_path=str(log_path), slow_request_s=1e-7
+        )
+
+        def drive(client):
+            client.analyze(str(workdir / "prog.f"))
+            return client.obs()["result"]["recent"]
+
+        recent = run_and_stop(server, drive)
+        assert gc.callbacks == callbacks
+        (entry,) = [e for e in recent if e["request_id"] == "r000001"]
+        assert 0 < entry["gc_ms"] <= entry["solve_ms"]
+        records = [json.loads(line)
+                   for line in log_path.read_text().splitlines()]
+        (slow,) = [r for r in records if r["event"] == "request.slow"
+                   and r["request_id"] == "r000001"]
+        assert slow["gc_ms"] == entry["gc_ms"]
+
+
 class TestScopeIsolation:
     """Concurrent requests must see non-overlapping per-request metric
     deltas: the dispatcher scopes the registry per request, so handler

@@ -239,9 +239,9 @@ def test_a_finished_run_leaves_no_program_behind(sources, tmp_path):
     programs = []
 
     class Watched(Engine):
-        def start(self, prepared, config):
+        def start(self, prepared, *args):
             programs.append(weakref.ref(prepared.program))
-            super().start(prepared, config)
+            super().start(prepared, *args)
 
     engine = Watched(cache_dir=str(tmp_path / "cache"))
     request = pipeline.Request(AnalysisConfig(), path=sources["tri"],
@@ -394,8 +394,8 @@ UNCALLED = frozenset({
     "repro.profiling", "repro.obs.timeline", "repro.frontend.unit_memo",
 })
 #: Packages whose ``__init__`` resolves its public names lazily.
-LAZY_PACKAGES = ("repro", "repro.analysis", "repro.frontend", "repro.ipcp",
-                 "repro.ir", "repro.obs")
+LAZY_PACKAGES = ("repro", "repro.analysis", "repro.engine", "repro.frontend",
+                 "repro.ipcp", "repro.ir", "repro.obs")
 
 
 def _fresh(code: str) -> str:
@@ -431,6 +431,20 @@ def test_plain_requests_import_no_heavy_subsystem(sources):
     link = _imported(["link", sources["main"], sources["work"]])
     added = link - analyze
     assert added and all(m.startswith("repro.linkage") for m in added)
+
+
+#: Modules only an engine with a cache runs.
+CACHE_MODULES = frozenset({
+    "repro.engine.cache", "repro.engine.fingerprint",
+    "repro.engine.summaries", "repro.engine.incremental",
+})
+
+
+def test_cacheless_batch_imports_no_cache_or_linker_code(sources):
+    batch = _imported(["batch", sources["tri"], sources["opt"]])
+    assert "repro.engine.batch" in batch
+    assert not batch & CACHE_MODULES
+    assert not {m for m in batch if m.startswith("repro.linkage")}
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
