@@ -231,7 +231,7 @@ def _sort_key(expr: Expr):
     if isinstance(expr, ConstExpr):
         return (0, expr.value, "")
     if isinstance(expr, EntryExpr):
-        return (1, expr.var.uid, expr.var.name)
+        return (1, expr.var.order, expr.var.name)
     if isinstance(expr, UnknownExpr):
         return (2, expr.tag, "")
     return (3, 0, repr(expr))

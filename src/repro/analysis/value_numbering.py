@@ -90,7 +90,7 @@ class ValueNumbering:
         if existing is not None:
             return existing
         # Not yet computed (a loop-carried reference): opaque but stable.
-        return UnknownExpr(("ssa", var.uid, version))
+        return UnknownExpr(("ssa", var.order, version))
 
     def operand_expr(self, operand: Operand) -> Expr:
         """The expression for an instruction operand."""
@@ -112,7 +112,7 @@ class ValueNumbering:
         if var.kind in (VarKind.FORMAL, VarKind.GLOBAL):
             return EntryExpr(var)
         # Locals (and the function result) are undefined on entry.
-        return UnknownExpr(("undef", var.uid))
+        return UnknownExpr(("undef", var.order))
 
     def _run(self) -> None:
         for block in self.procedure.cfg.reverse_postorder():
@@ -125,7 +125,7 @@ class ValueNumbering:
         self._table[(var, version)] = expr
 
     def _opaque(self, var: Variable, version: int) -> Expr:
-        return UnknownExpr(("ssa", var.uid, version))
+        return UnknownExpr(("ssa", var.order, version))
 
     def _visit_phi(self, phi: Phi) -> None:
         target = phi.target

@@ -123,14 +123,14 @@ def _classify_procedure(
     # an unknown value is invariant with respect to a given loop).
     tag_blocks: Dict[object, object] = {}
     for (var, version), instruction in definitions.items():
-        tag_blocks[("ssa", var.uid, version)] = block_of[id(instruction)]
+        tag_blocks[("ssa", var.order, version)] = block_of[id(instruction)]
 
     # Induction-variable phis -> fresh symbolic leaf variables.
     iv_leaves: Dict[object, Variable] = {}
     for loop in loops:
         for iv in loop.induction_variables:
             var, version = iv.ssa_name
-            tag = ("ssa", var.uid, version)
+            tag = ("ssa", var.order, version)
             if tag not in iv_leaves:
                 iv_leaves[tag] = Variable(f"{var.name}$iv", VarKind.FORMAL)
     iv_var_set = set(iv_leaves.values())

@@ -46,9 +46,16 @@ forward walk completes such an entry.
 The engine also keeps parsed program units across runs
 (:mod:`repro.frontend.unit_memo`): the driver and the linker parse
 through :meth:`Engine.parse`, so an edit re-parses only the units it
-changed. The source-location digest of each unit's procedure (part of
-its ``sub`` key) is kept with the unit, so it is computed again only
-for re-parsed units.
+changed. When a request ends, each procedure its run left unconverted
+takes the place of its unit's tree in the memo (:meth:`close` with
+``keep``), and the driver's next run of that path reuses it instead of
+lowering the unit again (:func:`repro.ir.lowering.lower_module`): an
+edit lowers only the units whose chunk changed and those a run
+converted, or every unit when the module's lowering context changed.
+A procedure's digest and source-location digest (part of its ``sub``
+key) are kept with its memo entry, whether it holds the tree or the
+lowering, so they are computed again only for the units lowered again
+(the location digest only for units whose IR changed).
 
 A summary is encoded (:mod:`repro.engine.summaries`) only to be stored
 in the cache, and decoded only when read from it: a hit decodes into
@@ -70,7 +77,7 @@ import json
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.config import AnalysisConfig
-from repro.frontend.unit_memo import UnitMemo
+from repro.frontend.unit_memo import MemoUnit, UnitMemo
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 
@@ -103,8 +110,9 @@ class Engine:
         #: sets this to its per-request deadline check).
         self.checkpoint: Optional[Callable[[], None]] = None
         self._units = UnitMemo()
-        #: Units parsed since the last run started, by name.
-        self._parsed: Dict[str, object] = {}
+        #: The memo entries of the units parsed since the last run
+        #: started, by name.
+        self._parsed: Dict[str, MemoUnit] = {}
         self._pack = None
         self._reset_run()
 
@@ -136,9 +144,7 @@ class Engine:
             layout = fingerprint.globals_layout(program)
             self._config_hash = fingerprint.config_fingerprint(config)
             for procedure in program:
-                self._digests[procedure.name] = fingerprint.procedure_digest(
-                    procedure, layout
-                )
+                self._digests[procedure.name] = self._digest(procedure, layout)
                 self._interfaces[procedure.name] = (
                     fingerprint.procedure_interface(procedure, prepared.modref)
                 )
@@ -189,8 +195,8 @@ class Engine:
         self._writer = None
         self._previous: Optional[dict] = None
         self._manifest: Optional[dict] = None
-        #: This run's parsed units by procedure name.
-        self._unit_of: Dict[str, object] = {}
+        #: This run's parse memo entries by procedure name.
+        self._unit_of: Dict[str, MemoUnit] = {}
         #: Per procedure: its digest and interface (from :meth:`start`),
         #: its key (once the walk reached its component) and its export
         #: (once its return summary was served or rebuilt).
@@ -215,11 +221,23 @@ class Engine:
             "ret": [], "fwd": [], "sub": []
         }
 
-    def close(self) -> None:
-        """Release the last run's program, call graph and keys;
-        the cache handle and the parsed units stay usable.
-        :func:`repro.pipeline.run` calls this once a run's manifest is
-        written, so a daemon holds no finished run between requests."""
+    def close(self, keep: bool = False) -> None:
+        """Release the last run's program, call graph and keys; the
+        cache handle and the parsed units stay usable. With ``keep``,
+        each procedure the run lowered from a memo entry and left
+        unconverted first takes the place of that entry's tree, for the
+        next run of its path to reuse. Only a caller done with the
+        run's result may keep: :func:`repro.pipeline.run` does, once
+        the manifest is written or the run aborted, so a daemon holds
+        no finished program between requests, only those procedures
+        and their COMMON blocks."""
+        prepared = self._prepared
+        if keep and prepared is not None:
+            for entry, record in prepared.program.lowerings:
+                # Only after start noted its digest with the entry.
+                if (record.procedure.name in self._digests
+                        and prepared.is_pending(record.procedure)):
+                    entry.kept, entry.unit = record, None
         self._parsed = {}
         self._reset_run()
 
@@ -232,14 +250,29 @@ class Engine:
     # -- parsing -------------------------------------------------------------
 
     def parse(self, text: str, filename: str = "<string>",
-              diagnostics=None):
+              diagnostics=None, lowered: bool = False):
         """:func:`repro.frontend.parser.parse_source`, reusing the units
         this engine parsed before under ``filename``
-        (:class:`~repro.frontend.unit_memo.UnitMemo`)."""
-        module = self._units.parse(text, filename, diagnostics)
-        if self.cache is not None:
-            for unit in module.units:
-                self._parsed[unit.name] = unit
+        (:class:`~repro.frontend.unit_memo.UnitMemo`). With ``lowered``
+        (the driver's path) and a cache, the module's units are the
+        memo's entries, so :func:`~repro.ir.lowering.lower_module` can
+        reuse the procedures kept in place of their trees. Without a
+        cache every summary misses, so a run converts every procedure
+        and keeps nothing: it lowers from the trees."""
+        module = self._units.parse(text, filename, diagnostics, lowered=True)
+        entries = module.units
+        if not entries or not isinstance(entries[0], MemoUnit):
+            # Parsed whole: no entry stands for these units.
+            for unit in entries:
+                self._parsed.pop(unit.name, None)
+            return module
+        if self.cache is None:
+            lowered = False
+        else:
+            for entry in entries:
+                self._parsed[entry.name] = entry
+        if not lowered:
+            module.units = [entry.tree() for entry in entries]
         return module
 
     def _check(self) -> None:
@@ -602,29 +635,53 @@ class Engine:
              json.dumps(constants_payload.get(name, []))]
         )
 
+    def _digest(self, procedure, layout: str) -> str:
+        """The procedure's :func:`~repro.engine.fingerprint.
+        procedure_digest`, kept with the memo entry it was lowered from
+        (``MemoUnit.derived``: the digest's 32 bytes, then those of the
+        location digest of the same IR once :meth:`_location` computed
+        it). A kept lowering this run reused (its entry holds no tree)
+        was digested when it was lowered, and the lowering context it
+        was reused under fixes the COMMON layout as well; any other
+        procedure is digested again."""
+        from repro.engine.fingerprint import procedure_digest
+
+        entry = self._unit_of.get(procedure.name)
+        derived = entry.derived if entry is not None else None
+        if derived is not None and entry.unit is None:
+            return derived[:32].hex()
+        digest = procedure_digest(procedure, layout)
+        if entry is not None:
+            check = bytes.fromhex(digest)
+            entry.derived = check + (
+                derived[32:] if derived is not None
+                and derived[:32] == check else b""
+            )
+        return digest
+
     def _location(self, procedure) -> str:
         """The procedure's :func:`~repro.engine.fingerprint.
-        location_digest`, kept with the parsed unit it was lowered from
-        (``ProcedureUnit.derived``). A unit the memo reused sits at the
-        same lines of the same file, so its procedure carries the same
-        coordinates whenever it lowers to the same IR: the kept bytes
-        are the first 8 bytes of that IR's digest, then the location
-        digest (40 bytes a unit, kept as long as the memo keeps it)."""
+        location_digest`, kept after its digest in its memo entry. An
+        entry sits at the same lines of the same file, so its procedure
+        carries the same coordinates whenever it lowers to the same IR
+        (64 bytes an entry, kept as long as the memo keeps it)."""
         from repro.engine.fingerprint import location_digest
 
         name = procedure.name
         location = self._loc_digests.get(name)
         if location is not None:
             return location
-        check = bytes.fromhex(self._digests[name][:16])
-        unit = self._unit_of.get(name)
-        kept = unit.derived if unit is not None else None
-        if kept is not None and kept[:8] == check:
-            location = kept[8:].hex()
+        entry = self._unit_of.get(name)
+        derived = entry.derived if entry is not None else None
+        if derived is not None and len(derived) > 32:
+            location = derived[32:].hex()
         else:
             location = location_digest(procedure)
-            if unit is not None:
-                unit.derived = check + bytes.fromhex(location)
+            if entry is not None:
+                entry.derived = (
+                    bytes.fromhex(self._digests[name])
+                    + bytes.fromhex(location)
+                )
         self._loc_digests[name] = location
         return location
 

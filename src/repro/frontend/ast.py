@@ -465,17 +465,11 @@ class ProcedureUnit(Node):
     body with a single maximally conservative statement (every scalar
     the unit could touch is treated as assigned an unknown value), so
     the rest of the module still analyzes soundly.
-
-    ``derived`` is not part of the tree (equality and ``repr`` ignore
-    it): a consumer that keeps the unit across parses may store there
-    a value it derived from the unit — the engine keeps the source
-    location digest of the procedure lowered from it, so an edit
-    computes digests only for the units it re-parsed.
     """
 
     _fields = ("kind", "name", "params", "decls", "body", "location",
                "is_stub")
-    __slots__ = _fields + ("derived",)
+    __slots__ = _fields
 
     def __init__(
         self,
@@ -494,7 +488,6 @@ class ProcedureUnit(Node):
         self.body = body
         self.location = location
         self.is_stub = is_stub
-        self.derived = None
 
 
 class Module(Node):

@@ -1,14 +1,14 @@
 """Parsed program units kept across requests: an edit re-parses only
-the units it changed.
+the units it changed, and lowers only what it changed.
 
 An :class:`~repro.engine.core.Engine` owns one :class:`UnitMemo` and
 parses every file through it (the daemon, cached CLI runs, batch files
 and the linker's per-file parse). The memo splits the text into chunks,
 one after every line that is a bare ``END`` statement, and keys each
 chunk on (filename, first line, chunk text). A chunk seen under the
-same filename at the same line reuses the
-:class:`~repro.frontend.ast.ProcedureUnit` parsed last time; any other
-chunk is lexed and parsed alone, at its own line numbers.
+same filename at the same line reuses its :class:`MemoUnit`, the entry
+parsed last time; any other chunk is lexed and parsed alone, at its own
+line numbers.
 
 The result is exact by construction. The lexer keeps no state across
 lines and the parser resets its state at every unit, so when every
@@ -21,11 +21,21 @@ file) parses the whole text again with the caller's
 diagnostics and exceptions are the whole-file parse's own. Lowering
 never mutates the tree, so a kept unit can be lowered again.
 
+An entry holds its unit's tree or, in the tree's place, the lowering
+an engine run left unconverted (:attr:`MemoUnit.kept`, set by the
+engine; :func:`repro.ir.lowering.lower_module` reuses it). Asked for
+the tree of such an entry (:meth:`MemoUnit.tree`: the linker, or a
+lowering that may not reuse the kept one), the memo parses the chunk
+again and drops the lowering, so an entry never holds both. Whatever
+the engine derives from the entry (:attr:`MemoUnit.derived`, its
+digests) stays with the entry in either form.
+
 Retention is bounded without a knob: for each filename only the units
 of the last text parsed under it are kept, and the least recently
 parsed filenames beyond :data:`PATH_CAPACITY` are forgotten.
 
-Counters: ``parse_units_parsed`` (chunks parsed alone) and
+Counters: ``parse_units_parsed`` (chunks parsed alone, including a
+kept lowering's chunk parsed again for its tree) and
 ``parse_units_reused`` (chunks served from the memo). ``parses`` still
 counts one per file, whichever way the file was parsed.
 """
@@ -89,6 +99,37 @@ def _parse_chunk(
     return (module.units[0],)
 
 
+class MemoUnit:
+    """One chunk's entry: the ``name`` and ``kind`` of its unit, and
+    its parsed unit (``unit``) or, in the tree's place, the lowering a
+    run left unconverted (``kept``, an opaque record), plus what the
+    engine derived from it (``derived``)."""
+
+    __slots__ = ("filename", "line", "text", "name", "kind", "unit", "kept",
+                 "derived")
+
+    def __init__(self, filename: str, line: int, text: str,
+                 unit: ast.ProcedureUnit):
+        self.filename = filename
+        self.line = line
+        self.text = text
+        self.name = unit.name
+        self.kind = unit.kind
+        self.unit: Optional[ast.ProcedureUnit] = unit
+        self.kept = None
+        self.derived = None
+
+    def tree(self) -> ast.ProcedureUnit:
+        """The unit's tree. An entry whose tree a kept lowering took
+        parses its chunk again (it parsed alone before, so it does
+        again) and drops the lowering, if it still holds it."""
+        if self.unit is None:
+            self.unit = _parse_chunk(self.filename, self.line, self.text)[0]
+            self.kept = None
+            metrics.inc("parse_units_parsed")
+        return self.unit
+
+
 class UnitMemo:
     """Per-filename memo of parsed units; see the module docstring."""
 
@@ -104,14 +145,17 @@ class UnitMemo:
         text: str,
         filename: str = "<string>",
         diagnostics: Optional[DiagnosticEngine] = None,
+        lowered: bool = False,
     ) -> ast.Module:
         """Parse ``text`` as :func:`~repro.frontend.parser.parse_source`
         does, reusing the units of chunks parsed before under
-        ``filename``."""
+        ``filename``. With ``lowered``, the module's units are the
+        :class:`MemoUnit` entries themselves, kept lowerings included,
+        whenever the text parsed chunk by chunk."""
         chunks = split_chunks(text)
         previous = self._paths.get(filename, {})
         kept: Dict[ChunkKey, tuple] = {}
-        units: List[ast.ProcedureUnit] = []
+        entries: List[MemoUnit] = []
         parsed = reused = 0
         whole = False
         for index, key in enumerate(chunks):
@@ -119,8 +163,8 @@ class UnitMemo:
             if found is not None:
                 reused += 1
             else:
-                found = _parse_chunk(filename, *key)
-                if found is None:
+                units = _parse_chunk(filename, *key)
+                if units is None:
                     # Keep what the rest of this text already had, so
                     # fixing the broken unit re-parses only that unit.
                     kept.update(
@@ -130,17 +174,20 @@ class UnitMemo:
                     whole = True
                     break
                 parsed += 1
+                found = tuple(MemoUnit(filename, *key, unit) for unit in units)
             kept[key] = found
-            units.extend(found)
+            entries.extend(found)
         self._remember(filename, kept)
         if parsed:
             metrics.inc("parse_units_parsed", parsed)
         if reused:
             metrics.inc("parse_units_reused", reused)
-        if whole or not units:
+        if whole or not entries:
             return parse_source(text, filename, diagnostics)
         metrics.inc("parses")
-        return ast.Module(units, filename)
+        if lowered:
+            return ast.Module(entries, filename)
+        return ast.Module([entry.tree() for entry in entries], filename)
 
     def _remember(self, filename: str, kept: Dict[ChunkKey, tuple]) -> None:
         self._paths[filename] = kept

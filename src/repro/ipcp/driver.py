@@ -78,6 +78,10 @@ class PreparedProgram:
         #: Procedures not yet annotated and converted, in program order.
         self._pending: Dict[str, Procedure] = {p.name: p for p in pending}
 
+    def is_pending(self, procedure: Procedure) -> bool:
+        """Whether ``procedure`` is still unconverted here."""
+        return self._pending.get(procedure.name) is procedure
+
     def convert(self, procedure: Procedure) -> None:
         """Annotate ``procedure`` and convert it to SSA form, once."""
         if self._pending.pop(procedure.name, None) is not None:
@@ -396,11 +400,15 @@ def analyze_source(
 
     With an ``engine``, parsing goes through :meth:`Engine.parse
     <repro.engine.core.Engine.parse>`, which reuses the units it parsed
-    before; without one, through this module's ``parse_source``.
+    before, and lowering reuses the procedures it kept unconverted
+    (:func:`~repro.ir.lowering.lower_module`); without one, parsing
+    goes through this module's ``parse_source``.
     """
-    parse = parse_source if engine is None else engine.parse
     with stage("parse"):
-        module = parse(text, filename)
+        if engine is None:
+            module = parse_source(text, filename)
+        else:
+            module = engine.parse(text, filename, lowered=True)
     with stage("lower"):
         program = lower_module(module, SourceFile(filename, text))
     return analyze_program(program, config, engine=engine, path=filename)
@@ -423,9 +431,11 @@ def analyze_source_resilient(
     or the recovered module fails semantic lowering).
     """
     diag = diagnostics if diagnostics is not None else DiagnosticEngine()
-    parse = parse_source if engine is None else engine.parse
     with stage("parse"):
-        module = parse(text, filename, diag)
+        if engine is None:
+            module = parse_source(text, filename, diag)
+        else:
+            module = engine.parse(text, filename, diag, lowered=True)
     if not module.units:
         return None, diag
     try:

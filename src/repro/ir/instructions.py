@@ -327,8 +327,9 @@ class Call(Instruction):
         self.callee = callee
         self.args = list(args)
         self.result = result
-        self.may_define: List[Def] = []
-        self.entry_uses: List[Use] = []
+        # Empty until call-effect annotation assigns lists.
+        self.may_define: Sequence[Def] = ()
+        self.entry_uses: Sequence[Use] = ()
 
     def operands(self) -> List[Operand]:
         ops: List[Operand] = [a.value for a in self.args if a.value is not None]
@@ -447,7 +448,7 @@ class Return(Instruction):
     def __init__(self, value: Optional[Operand] = None, location=UNKNOWN_LOCATION):
         super().__init__(location)
         self.value = value
-        self.exit_uses: List[Use] = []
+        self.exit_uses: Sequence[Use] = ()  # until annotation assigns one
 
     def operands(self) -> List[Operand]:
         ops: List[Operand] = [] if self.value is None else [self.value]

@@ -65,30 +65,63 @@ def lower_module(module: ast.Module, source: Optional[SourceFile] = None) -> Pro
     Raises :class:`SemanticError` for ill-formed programs (unknown
     callees, argument count/shape mismatches, COMMON layout conflicts,
     assignments to PARAMETER constants, non-literal DO steps).
+
+    On an engine's path the units are parse memo entries
+    (:class:`~repro.frontend.unit_memo.MemoUnit`, from ``Engine.parse``
+    with ``lowered``): an entry holding a kept lowering is reused as it
+    is wherever :mod:`repro.ir.kept` allows, and every other entry is
+    lowered from its tree, parsed again if a kept lowering took its
+    place. The program then lists each entry with its lowering
+    (``program.lowerings``), for the engine to keep those its run
+    leaves unconverted.
     """
     from repro.obs import metrics
 
     metrics.inc("lowerings")
     program = Program(source)
-    unit_kinds = {unit.name: unit.kind for unit in module.units}
-    if len(unit_kinds) != len(module.units):
+    units = module.units
+    unit_kinds = {unit.name: unit.kind for unit in units}
+    if len(unit_kinds) != len(units):
         seen: Set[str] = set()
-        for unit in module.units:
+        for unit in units:
             if unit.name in seen:
                 raise SemanticError(
-                    f"duplicate program unit name {unit.name!r}", unit.location
+                    f"duplicate program unit name {unit.name!r}",
+                    _tree(unit).location,
                 )
             seen.add(unit.name)
-    for unit in module.units:
+    entries = bool(units) and not isinstance(units[0], ast.ProcedureUnit)
+    context = None
+    if entries:
+        from repro.ir import kept
+
+        context = kept.reusable(units, program)
+    lowered: List[Procedure] = []
+    for index, unit in enumerate(units):
+        if context is not None and unit.kept is not None:
+            program.add_procedure(unit.kept.procedure)
+            continue
+        unit = _tree(unit)
         if unit.kind is ast.ProcedureKind.BLOCK_DATA:
             _lower_block_data(program, unit)
             continue
         lowerer = _ProcedureLowerer(program, unit, unit_kinds)
-        program.add_procedure(lowerer.lower())
+        lowered.append(lowerer.lower())
+        program.add_procedure(lowered[-1])
+        if context is not None:
+            kept.cold_order(lowerer, lowered[-1], index, context.first)
     _link_calls(program)
-    for procedure in program:
+    for procedure in lowered:
         procedure.cfg.remove_unreachable()
+    if entries:
+        kept.note_lowerings(program, units, context)
+        metrics.inc("lower_units_lowered", len(lowered))
+        metrics.inc("lower_units_reused", len(program) - len(lowered))
     return program
+
+
+def _tree(unit) -> ast.ProcedureUnit:
+    return unit if isinstance(unit, ast.ProcedureUnit) else unit.tree()
 
 
 def _lower_block_data(program: Program, unit: ast.ProcedureUnit) -> None:
@@ -192,6 +225,10 @@ class _ProcedureLowerer:
         #: (see :meth:`_lower_external_call`); the linkage layer merges
         #: files first so linked programs never take that path.
         self.externals: set = set()
+        #: Per COMMON declaration: its block and how many names this
+        #: unit had declared before it (see :func:`repro.ir.kept.
+        #: cold_order`).
+        self.marks: List[Tuple[str, int]] = []
 
     # -- driver -------------------------------------------------------------
 
@@ -284,6 +321,7 @@ class _ProcedureLowerer:
         self.symbols.declare(variable)
 
     def _declare_common(self, decl: ast.CommonDecl) -> None:
+        self.marks.append((decl.block, len(self.symbols.variables())))
         block = self.program.commons.get(decl.block)
         if block is None:
             block = CommonBlock(decl.block)

@@ -41,6 +41,9 @@ class CommonBlock:
 class Procedure:
     """One lowered program unit: CFG + symbol table + interface."""
 
+    __slots__ = ("name", "kind", "formals", "cfg", "symbols", "result_var",
+                 "visible_globals")
+
     def __init__(
         self,
         name: str,
@@ -103,6 +106,10 @@ class Program:
         #: Static initial values of scalar globals (from BLOCK DATA /
         #: DATA statements); globals not listed start undefined.
         self.global_initial_values: Dict[Variable, int] = {}
+        #: On an engine's path, each parse memo entry with the
+        #: :class:`~repro.ir.kept.KeptLowering` of its procedure
+        #: (see :func:`~repro.ir.lowering.lower_module`); else empty.
+        self.lowerings: list = []
 
     def add_procedure(self, procedure: Procedure) -> None:
         self.procedures[procedure.name] = procedure

@@ -30,6 +30,12 @@ class Variable:
     """A named storage location. Identity semantics: two Variables are the
     same variable iff they are the same object.
 
+    ``uid`` (from a process-wide counter) is its hash; ``order``, the
+    uid unless lowering moved it, orders variables wherever analyses
+    sort them (monomials, commutative operands, opaque values), so
+    within a program it must follow the order a cold lowering creates
+    them in (see :func:`repro.ir.lowering.lower_module`).
+
     ``slots=True``: programs allocate one Variable per SSA version, so
     the per-instance ``__dict__`` would dominate IR memory.
     """
@@ -40,11 +46,12 @@ class Variable:
     dims: Optional[Tuple[int, ...]] = None
     common_block: Optional[str] = None
     uid: int = field(init=False, repr=False)
+    order: float = field(init=False, repr=False)
 
     _ids = itertools.count()
 
     def __post_init__(self) -> None:
-        self.uid = next(Variable._ids)
+        self.uid = self.order = next(Variable._ids)
 
     @property
     def is_temp(self) -> bool:
@@ -73,10 +80,12 @@ class SymbolTable:
     ``%t0, %t1, ...`` and never enter the name map.
     """
 
+    __slots__ = ("procedure_name", "_by_name", "_temps")
+
     def __init__(self, procedure_name: str):
         self.procedure_name = procedure_name
         self._by_name: Dict[str, Variable] = {}
-        self._temp_counter = itertools.count()
+        self._temps = 0
 
     def declare(self, variable: Variable) -> Variable:
         """Register ``variable`` under its name; returns it for chaining."""
@@ -92,7 +101,8 @@ class SymbolTable:
 
     def new_temp(self) -> Variable:
         """Create a fresh compiler temporary."""
-        return Variable(f"%t{next(self._temp_counter)}", VarKind.TEMP)
+        self._temps += 1
+        return Variable(f"%t{self._temps - 1}", VarKind.TEMP)
 
     def variables(self) -> List[Variable]:
         """All named variables, in declaration order."""

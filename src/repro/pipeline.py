@@ -18,7 +18,8 @@ entries before optimizing (their renderings describe the analyzed
 program) and the ``opt`` entry after, then diffs the incremental
 manifests (the engine wrote the new one with the file's summary pack
 when the analysis ended) and releases the engine's hold on the
-analyzed program. A ``run`` entry holds the sections its request
+analyzed program, keeping only the procedures the run left
+unconverted for the next edit to reuse. A ``run`` entry holds the sections its request
 rendered, plus those of the entry the replay read and could not use
 (same key, same analysis), so requests that show different sections
 never evict each other's.
@@ -213,9 +214,10 @@ def run(request: Request, engine=None, checkpoint=None) -> FileOutcome:
         return _live(request, named, text, outcome, engine, record, earlier)
     finally:
         # The run is done (manifest written, or aborted): the engine
-        # keeps its cache and parsed units, not the analyzed program.
+        # keeps its cache, its parsed units and the procedures the run
+        # left unconverted, not the analyzed program.
         engine.checkpoint = None
-        engine.close()
+        engine.close(keep=True)
 
 
 def _live(request: Request, named, text: str, outcome: FileOutcome,

@@ -26,7 +26,7 @@ _CONST_MONOMIAL: Monomial = ()
 
 
 def _sorted_monomial(pairs: Iterable[Tuple[Variable, int]]) -> Monomial:
-    return tuple(sorted(pairs, key=lambda pair: (pair[0].uid, pair[0].name)))
+    return tuple(sorted(pairs, key=lambda pair: (pair[0].order, pair[0].name)))
 
 
 class Polynomial:

@@ -227,14 +227,17 @@ def test_run_entries_hold_the_rendered_sections(sources, tmp_path, capsys):
 
 def test_a_finished_run_leaves_no_program_behind(sources, tmp_path):
     """Once :func:`repro.pipeline.run` returns, the engine holds neither
-    the analyzed program nor its call graph: a daemon keeps only its
-    cache and parsed units between requests."""
+    the analyzed program nor its call graph. Between requests a daemon
+    keeps its cache, its parsed units and, in place of their trees, the
+    procedures the run left unconverted with the COMMON blocks they
+    reference; a request that reads the whole program leaves none."""
     import gc
     import weakref
 
     from repro import pipeline
     from repro.config import AnalysisConfig
     from repro.engine.core import Engine
+    from repro.ir.instructions import Phi
 
     programs = []
 
@@ -243,18 +246,44 @@ def test_a_finished_run_leaves_no_program_behind(sources, tmp_path):
             programs.append(weakref.ref(prepared.program))
             super().start(prepared, *args)
 
+    def kept():
+        return [entry for found in engine._units._paths[tri].values()
+                for entry in found if entry.kept is not None]
+
     engine = Watched(cache_dir=str(tmp_path / "cache"))
-    request = pipeline.Request(AnalysisConfig(), path=sources["tri"],
+    tri = sources["tri"]
+    plain = pipeline.Request(AnalysisConfig(), path=tri)
+    assert pipeline.run(plain, engine).ok  # cold: converts everything
+    assert not kept()
+    with open(tri, "w") as handle:
+        handle.write(TRI_PROGRAM.replace("N = 100", "N = 101"))
+    assert pipeline.run(plain, engine).ok
+    gc.collect()
+    assert len(programs) == 2
+    assert all(program() is None for program in programs)
+    assert [entry.name for entry in kept()] == ["bar"]
+    for entry in kept():
+        procedure = entry.kept.procedure
+        commons = entry.kept.context.commons
+        assert entry.unit is None  # the lowering took the tree's place
+        for instruction in procedure.cfg.instructions():
+            assert not isinstance(instruction, Phi)
+            assert all(d.version is None for d in instruction.defs())
+        assert list(commons) == ["blk"]
+        assert procedure.visible_globals == commons["blk"].members
+    # Rendering the IR converts every procedure: nothing is kept.
+    request = pipeline.Request(AnalysisConfig(), path=tri,
                                renders=frozenset({"constants", "ir"}))
     outcome = pipeline.run(request, engine)
-    assert outcome.ok and outcome.ir and len(programs) == 1
+    assert outcome.ok and outcome.ir
     gc.collect()
-    assert programs[0]() is None
-    # The parsed units stay: the same text again reuses all of them.
+    assert programs[-1]() is None and not kept()
+    # The parsed units stay; the one whose kept lowering that request
+    # used up parses again.
     assert pipeline.forget(request, engine)
     parsed = metrics.value("parse_units_parsed")
     assert pipeline.run(request, engine).ok
-    assert metrics.value("parse_units_parsed") == parsed
+    assert metrics.value("parse_units_parsed") == parsed + 1
 
 
 DAEMON_CASES = [
@@ -392,6 +421,7 @@ UNCALLED = frozenset({
     "repro.ipcp.cloning", "repro.ipcp.inlining", "repro.ipcp.stats",
     "repro.analysis.loops", "repro.analysis.ssa_out", "repro.analysis.dce",
     "repro.profiling", "repro.obs.timeline", "repro.frontend.unit_memo",
+    "repro.ir.kept",
 })
 #: Packages whose ``__init__`` resolves its public names lazily.
 LAZY_PACKAGES = ("repro", "repro.analysis", "repro.engine", "repro.frontend",
