@@ -259,7 +259,7 @@ class Engine:
         reuse the procedures kept in place of their trees. Without a
         cache every summary misses, so a run converts every procedure
         and keeps nothing: it lowers from the trees."""
-        module = self._units.parse(text, filename, diagnostics, lowered=True)
+        module = self._units.parse(text, filename, diagnostics)
         entries = module.units
         if not entries or not isinstance(entries[0], MemoUnit):
             # Parsed whole: no entry stands for these units.

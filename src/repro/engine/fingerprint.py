@@ -36,9 +36,9 @@ The substitution namespace also salts with :func:`location_digest`,
 which reads the same whether or not the procedure was ever annotated
 or converted.
 
-Variables are identity objects with process-local uids, so nothing
-derived from a uid may enter a hash; every input above is spelled with
-names, positions, and source text only.
+Variables are identity objects whose orders depend on their module
+and process, so nothing derived from an order may enter a hash; every
+input above is spelled with names, positions, and source text only.
 """
 
 from __future__ import annotations

@@ -145,13 +145,13 @@ class UnitMemo:
         text: str,
         filename: str = "<string>",
         diagnostics: Optional[DiagnosticEngine] = None,
-        lowered: bool = False,
     ) -> ast.Module:
         """Parse ``text`` as :func:`~repro.frontend.parser.parse_source`
         does, reusing the units of chunks parsed before under
-        ``filename``. With ``lowered``, the module's units are the
-        :class:`MemoUnit` entries themselves, kept lowerings included,
-        whenever the text parsed chunk by chunk."""
+        ``filename``. When the text parsed chunk by chunk, the module's
+        units are the :class:`MemoUnit` entries, kept lowerings
+        included (:meth:`MemoUnit.tree` gives each unit's tree); when
+        it parsed whole, they are trees."""
         chunks = split_chunks(text)
         previous = self._paths.get(filename, {})
         kept: Dict[ChunkKey, tuple] = {}
@@ -185,9 +185,7 @@ class UnitMemo:
         if whole or not entries:
             return parse_source(text, filename, diagnostics)
         metrics.inc("parses")
-        if lowered:
-            return ast.Module(entries, filename)
-        return ast.Module([entry.tree() for entry in entries], filename)
+        return ast.Module(entries, filename)
 
     def _remember(self, filename: str, kept: Dict[ChunkKey, tuple]) -> None:
         self._paths[filename] = kept

@@ -1,24 +1,21 @@
-"""Lowerings kept across engine runs: when one may be reused, and how
-the units lowered again keep a cold lowering's variable order.
+"""Lowerings kept across engine runs, and when one may be reused.
 
 :func:`repro.ir.lowering.lower_module` lowers a module of parse memo
 entries (the engine's path) through this module, and no other path
 loads it. A kept lowering is a procedure a run left unconverted, kept
 in place of its unit's tree (:class:`KeptLowering`). It is reused
 while the module's :class:`LoweringContext` is the one it was lowered
-in (:func:`reusable`); the units lowered again declare against its
-COMMON blocks and get a cold lowering's variable order
-(:func:`cold_order`), and :func:`note_lowerings` lists what the
-engine may keep after the run.
+in (:func:`reusable`), and the units lowered again declare against its
+COMMON blocks; :func:`note_lowerings` lists what the engine may keep
+after the run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.frontend import ast
 from repro.ir.module import CommonBlock, Procedure, Program
-from repro.ir.symbols import Variable
 
 
 class KeptLowering:
@@ -36,18 +33,15 @@ class KeptLowering:
 
 class LoweringContext:
     """What lowering one unit reads of the others, over a whole module:
-    each unit's :func:`_context` (``units``), the index of each COMMON
-    block's first declaring unit (``first``; None when a later unit
-    changes a member's shape, see :func:`reusable`), and the module's
-    COMMON blocks (``commons``), whose members the lowerings made in it
+    each unit's :func:`_context` (``units``), and the module's COMMON
+    blocks (``commons``), whose members the lowerings made in it
     reference. One object serves every lowering a run keeps."""
 
-    __slots__ = ("units", "first", "commons")
+    __slots__ = ("units", "commons")
 
     def __init__(self, units: Tuple[tuple, ...],
                  commons: Dict[str, CommonBlock]):
         self.units = units
-        self.first = _first_declarers(units)
         self.commons = commons
 
 
@@ -78,10 +72,11 @@ def _context(unit: ast.ProcedureUnit) -> tuple:
     return (unit.kind, unit.name, tuple(declared))
 
 
-def _first_declarers(units: Tuple[tuple, ...]) -> Optional[Dict[str, int]]:
-    """The index of each COMMON block's first declaring unit, or None
-    when a unit after a block's first declarer changes a member's
-    shape."""
+def _shapes_settle(units: Tuple[tuple, ...]) -> bool:
+    """Whether no unit after a COMMON block's first declarer changes a
+    member's shape. Else a cold lowering lowers the units before that
+    one against the earlier shape, while a kept member has the last,
+    so no lowering of the module may be kept."""
     first: Dict[str, int] = {}
     shapes: Dict[str, Dict[str, Optional[tuple]]] = {}
     for index, context in enumerate(units):
@@ -92,14 +87,14 @@ def _first_declarers(units: Tuple[tuple, ...]) -> Optional[Dict[str, int]]:
                     shapes.setdefault(block, {}).update(items)
                 elif any(dims is not None and shapes[block].get(name) is None
                          for name, dims in items):
-                    return None
+                    return False
             elif declared[0] == "dims":
                 block, name = declared[1], declared[2]
                 if first[block] == index:
                     shapes[block][name] = declared[3]
                 elif shapes[block].get(name) is None:
-                    return None
-    return first
+                    return False
+    return True
 
 
 def reusable(units, program: Program) -> Optional[LoweringContext]:
@@ -109,16 +104,14 @@ def reusable(units, program: Program) -> Optional[LoweringContext]:
 
     A kept lowering is reused only under the lowering context it was
     lowered in, where its unit would lower again to the same IR over
-    the same COMMON members; a changed context lowers every unit. One
-    run kept them all, so they share one context, and a kept unit at
-    its old index still contributes its old part: only the units to
-    lower are compared. A member whose shape a unit after the block's
-    first declarer changes (``first`` is None) lowers every unit too: a
-    cold lowering lowers the units before that one against the old
-    shape, while the kept member has the last.
+    the same COMMON members, at the same index, so with the same
+    variable orders; a changed context lowers every unit. One run kept
+    them all, so they share one context, and a kept unit at its old
+    index still contributes its old part: only the units to lower are
+    compared.
     """
     kept = next((unit.kept for unit in units if unit.kept is not None), None)
-    if kept is None or kept.context.first is None:
+    if kept is None:
         return None
     context = kept.context
     if len(context.units) != len(units) or not all(
@@ -132,79 +125,25 @@ def reusable(units, program: Program) -> Optional[LoweringContext]:
     return context
 
 
-def cold_order(lowerer, procedure: Procedure, index: int,
-               first: Dict[str, int]) -> None:
-    """Order the variables of ``procedure``, lowered again by
-    ``lowerer`` against kept COMMON members, as a cold lowering orders
-    them: analyses sort variables by
-    :attr:`~repro.ir.symbols.Variable.order`, and a unit lowered again
-    creates its variables after every kept member.
-
-    A cold lowering creates a block's members in its first declaring
-    unit, after that unit's formals, result and the locals it declares
-    before the COMMON statement, and before every variable of a later
-    unit. So the variables this unit creates before a block it first
-    declares move just below that block's members, and, when a block is
-    first declared by a later unit, every variable created after this
-    unit's own blocks moves just below that block's members. A unit
-    after every block's first declarer (the common case) keeps its
-    counter order."""
-    commons = lowerer.program.commons
-    ceiling = min((m.order for name, block in commons.items()
-                   if first[name] > index for m in block.members),
-                  default=None)
-    cuts = [(commons[name], count) for name, count in lowerer.marks
-            if first[name] == index]
-    if ceiling is None and not cuts:
-        return
-    named = procedure.symbols.variables()
-    own = [v for v in named if not v.is_global]
-    own.extend(
-        definition.var
-        for instruction in procedure.cfg.instructions()
-        for definition in instruction.defs()
-        if definition.var.is_temp
-    )
-    own = sorted({id(v): v for v in own}.values(), key=lambda v: v.uid)
-    floor = max((m.order for name, block in commons.items()
-                 if first[name] < index for m in block.members),
-                default=None)
-    start = 0
-    for block, count in cuts:
-        cut = sum(not v.is_global for v in named[:count])
-        _spread(own[start:cut], floor, min(m.order for m in block.members))
-        floor = max(m.order for m in block.members)
-        start = cut
-    if ceiling is not None:
-        _spread(own[start:], floor, ceiling)
-
-
-def _spread(variables: List[Variable], low: Optional[float],
-            high: float) -> None:
-    """Give ``variables`` increasing orders strictly between ``low``
-    (None: no bound) and ``high``."""
-    count = len(variables)
-    for position, variable in enumerate(variables, 1):
-        variable.order = (
-            high - (count + 1 - position) if low is None
-            else low + (high - low) * position / (count + 1)
-        )
-
-
 def note_lowerings(program: Program, units,
                     context: Optional[LoweringContext]) -> None:
     """List each entry with its lowering in ``program.lowerings``, all
     in one :class:`LoweringContext` (the reused one, or the module's own
     when nothing was reused); an entry whose kept lowering was reused
     gives it up (the engine keeps it again if the run leaves it
-    unconverted)."""
+    unconverted). A module whose member shapes do not settle at their
+    blocks' first declarers (:func:`_shapes_settle`) lists none, so its
+    entries keep their trees."""
     if context is None:
         shared: Dict[tuple, tuple] = {}  # units declaring alike share one
-        contexts = []
-        for unit in units:
-            kind, name, declared = _context(unit.tree())
-            contexts.append((kind, name, shared.setdefault(declared, declared)))
-        context = LoweringContext(tuple(contexts), dict(program.commons))
+        contexts = (_context(unit.tree()) for unit in units)
+        parts = tuple(
+            (kind, name, shared.setdefault(declared, declared))
+            for kind, name, declared in contexts
+        )
+        if not _shapes_settle(parts):
+            return
+        context = LoweringContext(parts, dict(program.commons))
     for unit in units:
         procedure = program.procedures.get(unit.name)
         if procedure is None:

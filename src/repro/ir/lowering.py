@@ -43,7 +43,7 @@ from repro.ir.instructions import (
     Use,
 )
 from repro.ir.module import CommonBlock, Procedure, Program
-from repro.ir.symbols import SymbolTable, Variable, VarKind
+from repro.ir.symbols import SymbolTable, Variable, VarKind, unit_orders
 
 LoweringError = SemanticError
 
@@ -73,7 +73,9 @@ def lower_module(module: ast.Module, source: Optional[SourceFile] = None) -> Pro
     lowered from its tree, parsed again if a kept lowering took its
     place. The program then lists each entry with its lowering
     (``program.lowerings``), for the engine to keep those its run
-    leaves unconverted.
+    leaves unconverted. Each unit's variables are ordered by its index
+    in the module (:func:`~repro.ir.symbols.unit_orders`), so kept and
+    fresh lowerings order them as a cold lowering does.
     """
     from repro.obs import metrics
 
@@ -103,13 +105,11 @@ def lower_module(module: ast.Module, source: Optional[SourceFile] = None) -> Pro
             continue
         unit = _tree(unit)
         if unit.kind is ast.ProcedureKind.BLOCK_DATA:
-            _lower_block_data(program, unit)
+            _lower_block_data(program, unit, index)
             continue
-        lowerer = _ProcedureLowerer(program, unit, unit_kinds)
-        lowered.append(lowerer.lower())
+        lowered.append(_ProcedureLowerer(program, unit, unit_kinds,
+                                         index).lower())
         program.add_procedure(lowered[-1])
-        if context is not None:
-            kept.cold_order(lowerer, lowered[-1], index, context.first)
     _link_calls(program)
     for procedure in lowered:
         procedure.cfg.remove_unreachable()
@@ -124,7 +124,8 @@ def _tree(unit) -> ast.ProcedureUnit:
     return unit if isinstance(unit, ast.ProcedureUnit) else unit.tree()
 
 
-def _lower_block_data(program: Program, unit: ast.ProcedureUnit) -> None:
+def _lower_block_data(program: Program, unit: ast.ProcedureUnit,
+                      index: int) -> None:
     """Process a BLOCK DATA unit: COMMON declarations plus DATA initial
     values for scalar COMMON members. Produces no procedure."""
     if unit.body:
@@ -133,7 +134,7 @@ def _lower_block_data(program: Program, unit: ast.ProcedureUnit) -> None:
             unit.body[0].location,
         )
     # Reuse the regular lowerer for COMMON/INTEGER processing.
-    lowerer = _ProcedureLowerer(program, unit, {})
+    lowerer = _ProcedureLowerer(program, unit, {}, index)
     for decl in unit.decls:
         if isinstance(decl, ast.CommonDecl):
             lowerer._declare_common(decl)
@@ -209,9 +210,14 @@ def _link_calls(program: Program) -> None:
 class _ProcedureLowerer:
     """Lowers a single program unit."""
 
-    def __init__(self, program: Program, unit: ast.ProcedureUnit, unit_kinds):
+    def __init__(self, program: Program, unit: ast.ProcedureUnit, unit_kinds,
+                 index: int):
         self.program = program
         self.unit = unit
+        #: The unit's index in its module, and the orders of the
+        #: variables it creates (:func:`~repro.ir.symbols.unit_orders`).
+        self.index = index
+        self.orders = unit_orders(index)
         self.unit_kinds = unit_kinds
         self.symbols = SymbolTable(unit.name)
         self.param_consts: Dict[str, int] = {}
@@ -225,17 +231,14 @@ class _ProcedureLowerer:
         #: (see :meth:`_lower_external_call`); the linkage layer merges
         #: files first so linked programs never take that path.
         self.externals: set = set()
-        #: Per COMMON declaration: its block and how many names this
-        #: unit had declared before it (see :func:`repro.ir.kept.
-        #: cold_order`).
-        self.marks: List[Tuple[str, int]] = []
 
     # -- driver -------------------------------------------------------------
 
     def lower(self) -> Procedure:
         formals = self._declare_formals()
         if self.unit.kind is ast.ProcedureKind.FUNCTION:
-            self.result_var = Variable(self.unit.name, VarKind.RESULT)
+            self.result_var = self._new(Variable(self.unit.name,
+                                                 VarKind.RESULT))
             self.symbols.declare(self.result_var)
         self._process_declarations()
         if self.unit.is_stub:
@@ -262,7 +265,9 @@ class _ProcedureLowerer:
                 raise SemanticError(
                     f"duplicate formal parameter {name!r}", self.unit.location
                 )
-            formals.append(self.symbols.declare(Variable(name, VarKind.FORMAL)))
+            formals.append(
+                self.symbols.declare(self._new(Variable(name, VarKind.FORMAL)))
+            )
         return formals
 
     def _process_declarations(self) -> None:
@@ -318,13 +323,12 @@ class _ProcedureLowerer:
             is_array=item.is_array,
             dims=tuple(item.dims) if item.dims else None,
         )
-        self.symbols.declare(variable)
+        self.symbols.declare(self._new(variable))
 
     def _declare_common(self, decl: ast.CommonDecl) -> None:
-        self.marks.append((decl.block, len(self.symbols.variables())))
         block = self.program.commons.get(decl.block)
         if block is None:
-            block = CommonBlock(decl.block)
+            block = CommonBlock(decl.block, self.index)
             for item in decl.items:
                 variable = Variable(
                     item.name,
@@ -333,9 +337,14 @@ class _ProcedureLowerer:
                     dims=tuple(item.dims) if item.dims else None,
                     common_block=decl.block,
                 )
-                block.members.append(variable)
+                block.members.append(self._new(variable))
             self.program.commons[decl.block] = block
         else:
+            if block.declarer == self.index:
+                # Kept lowerings' block: a cold lowering creates the
+                # members here, so they take their orders here.
+                for member in block.members:
+                    self._new(member)
             if [i.name for i in decl.items] != [v.name for v in block.members]:
                 raise SemanticError(
                     f"COMMON /{decl.block}/ declared with different member "
@@ -587,14 +596,14 @@ class _ProcedureLowerer:
         loop_var = self._scalar_variable_by_name(stmt.var, stmt.location)
         start = self._lower_expr(stmt.start)
         self._emit(Assign(Def(loop_var), start, stmt.location))
-        bound_temp = self.symbols.new_temp()
+        bound_temp = self._temp()
         self._lower_expr_into(Def(bound_temp), stmt.stop, stmt.location)
 
         head = self.cfg.new_block("dohead")
         body_block = self.cfg.new_block("dobody")
         exit_block = self.cfg.new_block("doexit")
         self._switch_to(head)
-        cond_temp = self.symbols.new_temp()
+        cond_temp = self._temp()
         compare = "le" if step > 0 else "ge"
         self._emit(
             BinOp(
@@ -664,7 +673,7 @@ class _ProcedureLowerer:
             else:
                 array = self._array_variable(target.name, target.location)
                 indices = [self._lower_expr(e) for e in target.indices]
-                temp = Def(self.symbols.new_temp())
+                temp = Def(self._temp())
                 scalar_defs.append(temp)
                 array_stores.append((array, indices, temp))
         self._emit(Read(scalar_defs, stmt.location))
@@ -688,7 +697,7 @@ class _ProcedureLowerer:
                     expr.location,
                 )
             return Use(variable, expr.location, from_source=True)
-        target = Def(self.symbols.new_temp())
+        target = Def(self._temp())
         self._lower_expr_into(target, expr, expr.location)
         return Use(target.var)
 
@@ -757,7 +766,9 @@ class _ProcedureLowerer:
                 raise SemanticError(
                     f"procedure name {name!r} used as a variable", None
                 )
-            variable = self.symbols.declare(Variable(name, VarKind.LOCAL))
+            variable = self.symbols.declare(
+                self._new(Variable(name, VarKind.LOCAL))
+            )
         return variable
 
     def _scalar_variable(self, ref: ast.VarRef) -> Variable:
@@ -776,6 +787,14 @@ class _ProcedureLowerer:
         if variable is None or not variable.is_array:
             raise SemanticError(f"{name!r} is not a declared array", location)
         return variable
+
+    def _new(self, variable: Variable) -> Variable:
+        """Stamp ``variable`` with the next order of this unit."""
+        variable.order = next(self.orders)
+        return variable
+
+    def _temp(self) -> Variable:
+        return self._new(self.symbols.new_temp())
 
     # -- epilogue -----------------------------------------------------------
 

@@ -25,10 +25,13 @@ class CommonBlock:
     The first declaration of a block fixes its member names and shapes;
     every later declaration must match (MiniFortran does not support
     renaming COMMON storage positionally across procedures — see
-    DESIGN.md).
+    DESIGN.md). ``declarer`` is the index, in its module, of the unit
+    that makes that first declaration, where lowering creates the
+    members.
     """
 
     name: str
+    declarer: int
     members: List[Variable] = field(default_factory=list)
 
     def member(self, name: str) -> Optional[Variable]:

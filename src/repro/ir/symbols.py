@@ -12,7 +12,22 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+
+#: Bits of a lowered variable's order that number it within its unit.
+_SEQUENCE_BITS = 32
+#: Orders of variables created after lowering start here, above every
+#: lowered variable's.
+_CREATED_LATER = 1 << 62
+
+
+def unit_orders(unit_index: int) -> Iterator[int]:
+    """The orders, in turn, of the variables lowering creates for the
+    ``unit_index``-th unit of a module: after every earlier unit's and
+    before every later unit's, as a lowering of the whole module
+    creates them."""
+    return itertools.count(unit_index << _SEQUENCE_BITS)
 
 
 class VarKind(enum.Enum):
@@ -30,11 +45,15 @@ class Variable:
     """A named storage location. Identity semantics: two Variables are the
     same variable iff they are the same object.
 
-    ``uid`` (from a process-wide counter) is its hash; ``order``, the
-    uid unless lowering moved it, orders variables wherever analyses
-    sort them (monomials, commutative operands, opaque values), so
-    within a program it must follow the order a cold lowering creates
-    them in (see :func:`repro.ir.lowering.lower_module`).
+    ``order`` is its hash, and orders variables wherever analyses sort
+    them (monomials, commutative operands, opaque values). Lowering
+    stamps each variable it creates, and a kept COMMON member where a
+    cold lowering would create it, with its place in a lowering of the
+    whole module (:func:`unit_orders`), before any set or dict holds
+    it; so a unit lowered again beside kept lowerings orders its
+    variables as a cold lowering does. A variable created later takes
+    the next number of a process-wide counter, above every lowered
+    variable's. No two variables of one program share an order.
 
     ``slots=True``: programs allocate one Variable per SSA version, so
     the per-instance ``__dict__`` would dominate IR memory.
@@ -45,13 +64,12 @@ class Variable:
     is_array: bool = False
     dims: Optional[Tuple[int, ...]] = None
     common_block: Optional[str] = None
-    uid: int = field(init=False, repr=False)
-    order: float = field(init=False, repr=False)
+    order: int = field(init=False, repr=False)
 
-    _ids = itertools.count()
+    _later = itertools.count(_CREATED_LATER)
 
     def __post_init__(self) -> None:
-        self.uid = self.order = next(Variable._ids)
+        self.order = next(Variable._later)
 
     @property
     def is_temp(self) -> bool:
@@ -69,7 +87,7 @@ class Variable:
         return f"Variable({self.name!r}, {self.kind.value})"
 
     def __hash__(self) -> int:
-        return self.uid
+        return self.order
 
 
 class SymbolTable:

@@ -175,7 +175,7 @@ def verify_procedure(
                 if bound is not variable:
                     problem(
                         block,
-                        f"variable {variable.name!r} (uid {variable.uid}) "
+                        f"variable {variable.name!r} (order {variable.order}) "
                         f"does not resolve to itself in the symbol table",
                     )
 

@@ -92,6 +92,24 @@ def lowered_again(before: str, after: str, converted: set) -> int:
     return count
 
 
+def variable_ranks(result) -> list:
+    """Every variable of the program ``result`` analyzed (a global by
+    its block, any other by its procedure), in the order analyses sort
+    them; no two share an order. Reads the program as the run left it
+    (``result.program`` would complete it)."""
+    owners = {}
+    for procedure in result.prepared.program:
+        named = procedure.symbols.variables()
+        defined = (definition.var
+                   for instruction in procedure.cfg.instructions()
+                   for definition in instruction.defs())
+        for variable in (*named, *defined):
+            owners[variable] = variable.common_block or procedure.name
+    assert len({variable.order for variable in owners}) == len(owners)
+    return [(owners[variable], variable.name)
+            for variable in sorted(owners, key=lambda v: v.order)]
+
+
 @pytest.mark.parametrize("seed", range(54))
 def test_successive_edits_through_one_engine_match_cold(seed, tmp_path):
     """Each seeded edit script, then two more seeded edits of the same
@@ -110,6 +128,8 @@ def test_successive_edits_through_one_engine_match_cold(seed, tmp_path):
         warm = engine_run(engine, path, keep=not last)
         cold = analyze_file(str(path), CONFIG)
         assert warm.shown == shown(cold), (seed, step)
+        assert variable_ranks(warm.result) == variable_ranks(cold), (
+            seed, step)
         assert warm.index == cold_index(tmp_path, path, str(step)), (
             seed, step)
         units = len(cold.program)
@@ -285,19 +305,25 @@ RESHAPED_LATER = """\
 
 def test_a_member_reshaped_by_a_later_unit_is_never_reused(tmp_path):
     """MAIN lowers while W is still a scalar; S, after it, makes W an
-    array. A kept W has the final shape, so MAIN lowered again against
-    it would fail where a cold run does not: nothing is reused."""
+    array. A kept W would have the final shape, so MAIN lowered again
+    against it would fail where a cold run does not. So the engine
+    keeps no lowering of this file: every entry keeps its tree, and an
+    edit parses only its own chunk and lowers every unit."""
     path = tmp_path / "prog.f"
     engine = Engine(cache_dir=str(tmp_path / "cache"))
-    for old, new in (("L = 1", "L = 1"), ("L = 1", "L = 2"),
-                     ("W = 1", "W = 3")):
-        kept = {entry.name for entry in memo_entries(engine, path)
-                if entry.kept is not None} if old == "W = 1" else None
-        path.write_text(RESHAPED_LATER.replace(old, new))
+    edited = RESHAPED_LATER.replace("L = 1", "L = 2")
+    texts = (RESHAPED_LATER, edited, edited.replace("W = 1", "W = 3"))
+    for step, text in enumerate(texts):
+        path.write_text(text)
+        before = metrics.snapshot()
         outcome, counters = assert_like_cold(engine, path)
         assert outcome.status == pipeline.OK
-    assert kept == {"main", "s"}
-    assert counters == {"lower_units_lowered": 3, "lower_units_reused": 0}
+        assert not any(entry.kept is not None
+                       for entry in memo_entries(engine, path))
+        parsed = metrics.delta_since(before)["counters"].get(
+            "parse_units_parsed", 0)
+        assert parsed == (3 if step == 0 else 1), (step, parsed)
+        assert counters == {"lower_units_lowered": 3, "lower_units_reused": 0}
     engine.close()
 
 
@@ -316,6 +342,7 @@ ORDER_PROGRAM = """\
       END
 
       SUBROUTINE INIT(K)
+      INTEGER P
       COMMON /G/ A, B
       B = K + A
       A = K * 2
@@ -339,28 +366,34 @@ ORDER_PROGRAM = """\
 """
 
 
-@pytest.mark.parametrize("unit, literal", [
-    ("init", "M = "),  # the first COMMON declarer, which has a formal
-    ("pre", "L = "),   # a unit before the first declarer
+@pytest.mark.parametrize("unit, old, news", [
+    # the first COMMON declarer, which has a formal
+    ("init", "M = 1", ("M = 2", "M = 3")),
+    # the same, declaring more locals before its COMMON statement than
+    # when the kept members were made
+    ("init-declares", "INTEGER P\n", ("INTEGER P, Z\n", "INTEGER P, Z, Y\n")),
+    # a unit before the first declarer
+    ("pre", "L = 1", ("L = 2", "L = 3")),
 ])
-def test_a_unit_lowered_again_keeps_cold_variable_order(unit, literal,
+def test_a_unit_lowered_again_keeps_cold_variable_order(unit, old, news,
                                                         tmp_path):
     """Variables sort by creation order, and a cold lowering creates
-    /G/'s members in INIT after its formal K, and after every variable
-    of PRE. Editing one of the two while the others stay kept must
-    still give a cold run's return summaries (``B = K + A`` in INIT,
+    /G/'s members in INIT after its formal K and local P, and after
+    every variable of PRE. Editing one of the two while the others stay
+    kept must still order every variable as a cold lowering does, and
+    so give a cold run's return summaries (``B = K + A`` in INIT,
     ``B = Q + A`` through PRE), hence exports, and explanations."""
     path = tmp_path / "prog.f"
     engine = Engine(cache_dir=str(tmp_path / "cache"))
-    texts = [ORDER_PROGRAM] + [
-        ORDER_PROGRAM.replace(f"{literal}1", f"{literal}{value}")
-        for value in (2, 3)
-    ]
+    texts = [ORDER_PROGRAM] + [ORDER_PROGRAM.replace(old, new)
+                               for new in news]
     for step, text in enumerate(texts):
         path.write_text(text)
         warm = engine_run(engine, path)
+        cold = analyze_file(str(path), CONFIG)
+        assert variable_ranks(warm.result) == variable_ranks(cold)
         assert warm.index == cold_index(tmp_path, path, str(step))
-        assert warm.shown == shown(analyze_file(str(path), CONFIG))
+        assert warm.shown == shown(cold)
         if step == 2:
             assert warm.counters == {"lower_units_lowered": 1,
                                      "lower_units_reused": 3}

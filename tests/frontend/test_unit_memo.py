@@ -17,6 +17,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.diagnostics import DiagnosticEngine
+from repro.frontend import ast
 from repro.frontend.errors import FrontendError
 from repro.frontend.parser import parse_source
 from repro.frontend.source import SourceFile
@@ -65,6 +66,21 @@ def render(pieces, breaks) -> str:
     )
 
 
+def trees(module: ast.Module) -> ast.Module:
+    """``module`` with each memo entry replaced by its unit's tree (a
+    module parsed whole holds trees already)."""
+    module.units = [
+        unit if isinstance(unit, ast.ProcedureUnit) else unit.tree()
+        for unit in module.units
+    ]
+    return module
+
+
+def memo_trees(memo: UnitMemo):
+    """``memo.parse``, giving trees as ``parse_source`` does."""
+    return lambda *args: trees(memo.parse(*args))
+
+
 def outcome(parse, text: str, recover: bool):
     """What a parse of ``text`` shows: the tree and its lowering (or the
     lowering's error), and the diagnostics or the exception raised."""
@@ -92,14 +108,14 @@ def outcome(parse, text: str, recover: bool):
 def test_memo_parses_exactly_like_parse_source(pieces, breaks, edit, recover):
     memo = UnitMemo()
     text = render(pieces, breaks)
-    assert outcome(memo.parse, text, recover) == (
+    assert outcome(memo_trees(memo), text, recover) == (
         outcome(parse_source, text, recover)
     )
     index, replacement = edit
     edited = list(pieces)
     edited[index % len(edited)] = replacement
     text = render(edited, breaks)
-    assert outcome(memo.parse, text, recover) == (
+    assert outcome(memo_trees(memo), text, recover) == (
         outcome(parse_source, text, recover)
     )
 
@@ -143,7 +159,7 @@ def test_an_edit_reparses_only_its_unit():
     assert cold == {"parses": 1, "parse_units_parsed": 3,
                     "parse_units_reused": 0}
     edited = PROGRAM.replace("A + 1", "A + 7")
-    module, warm = counted(lambda: memo.parse(edited, "m.f"))
+    module, warm = counted(lambda: trees(memo.parse(edited, "m.f")))
     assert warm == {"parses": 1, "parse_units_parsed": 1,
                     "parse_units_reused": 2}
     assert module == parse_source(edited, "m.f")
@@ -153,7 +169,7 @@ def test_a_line_shift_reparses_the_units_it_moves():
     memo = UnitMemo()
     memo.parse(PROGRAM, "m.f")
     shifted = PROGRAM.replace("      B = A + 1\n", "      B = A + 1\n\n")
-    module, counts = counted(lambda: memo.parse(shifted, "m.f"))
+    module, counts = counted(lambda: trees(memo.parse(shifted, "m.f")))
     assert counts["parse_units_parsed"] == 2  # S1's text, S2's line
     assert module == parse_source(shifted, "m.f")
 
@@ -163,7 +179,8 @@ def test_a_broken_unit_parses_the_whole_file_once():
     memo.parse(PROGRAM, "m.f")
     broken = PROGRAM.replace("B = A + 1", "B = = 1")
     diagnostics = DiagnosticEngine()
-    module, counts = counted(lambda: memo.parse(broken, "m.f", diagnostics))
+    module, counts = counted(
+        lambda: trees(memo.parse(broken, "m.f", diagnostics)))
     expected = DiagnosticEngine()
     assert module == parse_source(broken, "m.f", expected)
     assert diagnostics.format() == expected.format() != ""
