@@ -18,20 +18,22 @@ IPCP pipeline needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+from repro._record import FrozenRecord, setfield
 from repro.ir.instructions import Call
 from repro.ir.module import Procedure, Program
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(FrozenRecord):
     """One edge of the call graph."""
 
-    caller: Procedure
-    call: Call
-    callee: Procedure
+    __slots__ = _fields = ("caller", "call", "callee")
+
+    def __init__(self, caller: Procedure, call: Call, callee: Procedure):
+        setfield(self, "caller", caller)
+        setfield(self, "call", call)
+        setfield(self, "callee", callee)
 
     def __repr__(self) -> str:
         return f"CallSite({self.caller.name} -> {self.callee.name})"

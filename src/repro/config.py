@@ -9,8 +9,9 @@ configurations those tables compare.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from typing import Optional
+
+from repro._record import FrozenRecord, setfield
 
 
 class JumpFunctionKind(enum.Enum):
@@ -54,8 +55,7 @@ class BudgetExceeded(Exception):
         super().__init__(f"{stage} exceeded its budget of {limit}{suffix}")
 
 
-@dataclass(frozen=True)
-class AnalysisBudget:
+class AnalysisBudget(FrozenRecord):
     """Fuel limits for every unbounded-ish loop in the pipeline.
 
     ``None`` means unlimited (the default — every loop in the system is
@@ -78,12 +78,26 @@ class AnalysisBudget:
       propagation.
     """
 
-    solver_visits: Optional[int] = None
-    sccp_visits: Optional[int] = None
-    polynomial_terms: Optional[int] = None
-    polynomial_degree: Optional[int] = None
-    gsa_rounds: int = 4
-    dce_rounds: int = 10
+    __slots__ = _fields = (
+        "solver_visits", "sccp_visits", "polynomial_terms",
+        "polynomial_degree", "gsa_rounds", "dce_rounds",
+    )
+
+    def __init__(
+        self,
+        solver_visits: Optional[int] = None,
+        sccp_visits: Optional[int] = None,
+        polynomial_terms: Optional[int] = None,
+        polynomial_degree: Optional[int] = None,
+        gsa_rounds: int = 4,
+        dce_rounds: int = 10,
+    ):
+        setfield(self, "solver_visits", solver_visits)
+        setfield(self, "sccp_visits", sccp_visits)
+        setfield(self, "polynomial_terms", polynomial_terms)
+        setfield(self, "polynomial_degree", polynomial_degree)
+        setfield(self, "gsa_rounds", gsa_rounds)
+        setfield(self, "dce_rounds", dce_rounds)
 
     @classmethod
     def tight(cls) -> "AnalysisBudget":
@@ -98,8 +112,11 @@ class AnalysisBudget:
         )
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+#: The budget of every configuration that names none.
+_DEFAULT_BUDGET = AnalysisBudget()
+
+
+class AnalysisConfig(FrozenRecord):
     """Knobs for one interprocedural constant propagation run.
 
     - ``jump_function``: forward jump function implementation;
@@ -115,41 +132,71 @@ class AnalysisConfig:
     - ``gcp_oracle``: how the ``gcp(y, s)`` constant oracle of §3.1 is
       computed — ``"value_numbering"`` (the paper's implementation) or
       ``"sccp"`` (branch-sensitive conditional propagation, which can
-      prove more call-site operands constant by pruning dead arms).
+      prove more call-site operands constant by pruning dead arms);
+    - ``solver_strategy``: worklist discipline of the interprocedural
+      solver — ``"fifo"``, ``"lifo"``, or ``"priority"``
+      (reverse-postorder rank: an SCC-level topological wavefront). The
+      fixpoint is identical for every strategy; only the amount of
+      work differs;
+    - ``gsa_refinement``: GSA-style refinement (§4.2's closing remark):
+      after a first propagation, regenerate jump functions with
+      branch-sensitive oracles seeded by CONSTANTS and exclude
+      never-executed call sites, then re-propagate — achieving
+      complete-propagation results without any dead-code elimination;
+    - ``budget``: fuel limits for the pipeline's loops; defaults are
+      unlimited except the refinement/DCE round caps, which keep their
+      historic values;
+    - ``fault_isolation``: contain per-call-site/per-procedure faults
+      during jump- and return-function construction by demoting the
+      affected site down the :class:`JumpFunctionKind` lattice
+      (recorded in the run's ResilienceReport) instead of aborting the
+      whole analysis. Turn off to let construction exceptions propagate
+      (debugging);
+    - ``verify_ir``: run the structural IR/SSA verifier between pipeline
+      stages and after DCE rounds; a corrupt program raises
+      :class:`repro.ir.verify.VerificationError` at the stage that
+      caused it. Off by default (it is a debugging/hardening tool).
     """
 
-    jump_function: JumpFunctionKind = JumpFunctionKind.POLYNOMIAL
-    use_return_functions: bool = True
-    use_mod: bool = True
-    complete: bool = False
-    interprocedural: bool = True
-    gcp_oracle: str = "value_numbering"
-    #: Worklist discipline of the interprocedural solver: ``"fifo"``,
-    #: ``"lifo"``, or ``"priority"`` (reverse-postorder rank — an
-    #: SCC-level topological wavefront). The fixpoint is identical for
-    #: every strategy; only the amount of work differs.
-    solver_strategy: str = "fifo"
-    #: GSA-style refinement (§4.2's closing remark): after a first
-    #: propagation, regenerate jump functions with branch-sensitive
-    #: oracles seeded by CONSTANTS and exclude never-executed call
-    #: sites, then re-propagate — achieving complete-propagation
-    #: results without any dead-code elimination.
-    gsa_refinement: bool = False
-    #: Fuel limits for the pipeline's loops; defaults are unlimited
-    #: except the refinement/DCE round caps, which keep their historic
-    #: values.
-    budget: AnalysisBudget = AnalysisBudget()
-    #: Contain per-call-site/per-procedure faults during jump- and
-    #: return-function construction by demoting the affected site down
-    #: the :class:`JumpFunctionKind` lattice (recorded in the run's
-    #: ResilienceReport) instead of aborting the whole analysis. Turn
-    #: off to let construction exceptions propagate (debugging).
-    fault_isolation: bool = True
-    #: Run the structural IR/SSA verifier between pipeline stages and
-    #: after DCE rounds; a corrupt program raises
-    #: :class:`repro.ir.verify.VerificationError` at the stage that
-    #: caused it. Off by default (it is a debugging/hardening tool).
-    verify_ir: bool = False
+    __slots__ = _fields = (
+        "jump_function", "use_return_functions", "use_mod", "complete",
+        "interprocedural", "gcp_oracle", "solver_strategy",
+        "gsa_refinement", "budget", "fault_isolation", "verify_ir",
+    )
+
+    def __init__(
+        self,
+        jump_function: JumpFunctionKind = JumpFunctionKind.POLYNOMIAL,
+        use_return_functions: bool = True,
+        use_mod: bool = True,
+        complete: bool = False,
+        interprocedural: bool = True,
+        gcp_oracle: str = "value_numbering",
+        solver_strategy: str = "fifo",
+        gsa_refinement: bool = False,
+        budget: AnalysisBudget = _DEFAULT_BUDGET,
+        fault_isolation: bool = True,
+        verify_ir: bool = False,
+    ):
+        setfield(self, "jump_function", jump_function)
+        setfield(self, "use_return_functions", use_return_functions)
+        setfield(self, "use_mod", use_mod)
+        setfield(self, "complete", complete)
+        setfield(self, "interprocedural", interprocedural)
+        setfield(self, "gcp_oracle", gcp_oracle)
+        setfield(self, "solver_strategy", solver_strategy)
+        setfield(self, "gsa_refinement", gsa_refinement)
+        setfield(self, "budget", budget)
+        setfield(self, "fault_isolation", fault_isolation)
+        setfield(self, "verify_ir", verify_ir)
+
+    def replace(self, **changes) -> "AnalysisConfig":
+        """A copy with the fields named in ``changes`` set to new values
+        (an unknown name is a ``TypeError``, as in
+        ``dataclasses.replace``)."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return AnalysisConfig(**values)
 
     # -- the named configurations of the paper's tables ----------------
 
@@ -175,7 +222,7 @@ class AnalysisConfig:
         return cls(interprocedural=False)
 
     def with_kind(self, kind: JumpFunctionKind) -> "AnalysisConfig":
-        return replace(self, jump_function=kind)
+        return self.replace(jump_function=kind)
 
     def describe(self) -> str:
         """Short human-readable description for reports."""

@@ -21,9 +21,9 @@ but never raises: recovery decisions belong to the parser, not here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro._record import FrozenRecord, setfield
 from repro.frontend.source import SourceLocation
 
 # -- stable diagnostic codes ------------------------------------------------
@@ -59,14 +59,17 @@ class Severity(enum.IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(FrozenRecord):
     """One reported problem: severity + stable code + message + where."""
 
-    severity: Severity
-    code: str
-    message: str
-    location: Optional[SourceLocation] = None
+    __slots__ = _fields = ("severity", "code", "message", "location")
+
+    def __init__(self, severity: Severity, code: str, message: str,
+                 location: Optional[SourceLocation] = None):
+        setfield(self, "severity", severity)
+        setfield(self, "code", code)
+        setfield(self, "message", message)
+        setfield(self, "location", location)
 
     def render(self) -> str:
         prefix = f"{self.location}: " if self.location is not None else ""

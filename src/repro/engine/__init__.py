@@ -10,8 +10,8 @@ across files in :func:`~repro.engine.batch.run_batch`. See
 ``docs/PERFORMANCE.md``.
 
 Public names resolve lazily (:mod:`repro._lazy`), so a cacheless
-``repro batch`` loads the batch driver and the engine but none of the
-cache modules.
+``repro batch``, which runs each file through the plain driver, loads
+the batch driver but neither the engine nor the cache modules.
 """
 
 from repro._lazy import lazy_exports

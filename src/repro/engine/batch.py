@@ -26,23 +26,29 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro import faults, pipeline
+from repro._record import Record
 from repro.config import AnalysisConfig
+from repro.obs import context as obs_context
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace
 from repro.pipeline import ERROR, FileOutcome
 
 
-@dataclass
-class BatchResult:
-    """Every file's outcome (input order) plus batch-level aggregates."""
+class BatchResult(Record):
+    """Every file's outcome (input order) plus batch-level aggregates.
+    ``notes`` are batch-level degradation notes (pool rebuilt/demoted),
+    so a recovered run is visibly different from an undisturbed one."""
 
-    files: List[FileOutcome]
-    jobs: int = 1
-    #: Batch-level degradation notes (pool rebuilt/demoted), so a
-    #: recovered run is visibly different from an undisturbed one.
-    notes: List[str] = field(default_factory=list)
+    __slots__ = _fields = ("files", "jobs", "notes")
+
+    def __init__(self, files: List[FileOutcome], jobs: int = 1,
+                 notes: Optional[List[str]] = None):
+        self.files = files
+        self.jobs = jobs
+        self.notes = notes if notes is not None else []
 
     @property
     def ok(self) -> bool:
@@ -89,12 +95,10 @@ class BatchResult:
     def merged_metrics(self):
         """All per-file metrics deltas folded into one registry (None
         when the batch ran without metrics collection)."""
-        from repro.obs.metrics import MetricsRegistry
-
         collected = [o.metrics for o in self.files if o.metrics is not None]
         if not collected:
             return None
-        registry = MetricsRegistry()
+        registry = obs_metrics.MetricsRegistry()
         for delta in collected:
             registry.merge(delta)
         return registry
@@ -117,10 +121,12 @@ def analyze_one(
     ``explain`` keeps each file's invalidation report on the outcome.
 
     Runs inline (``jobs=1``) or inside a pool worker; everything it
-    touches and returns is picklable. Each call uses a private
-    :class:`~repro.engine.core.Engine` over the shared on-disk cache —
-    workers coordinate through the cache's atomic file writes, never
-    through shared memory.
+    touches and returns is picklable. With a ``cache_dir``, each call
+    uses a private :class:`~repro.engine.core.Engine` over the shared
+    on-disk cache — workers coordinate through the cache's atomic file
+    writes, never through shared memory. Without one it runs the plain
+    driver, as ``repro analyze`` without ``--cache`` does, and loads no
+    engine code.
 
     Per-file counter isolation: process-wide counters are *snapshotted*
     at entry and only the delta is attributed to this file — never
@@ -129,11 +135,6 @@ def analyze_one(
     it would report analyzed alone.
     """
     import time
-
-    from repro.engine.core import Engine
-    from repro.obs import context as obs_context
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import trace
 
     # Fault points: die here to break the batch pool mid-file (only
     # ever fires inside a pool worker), or dawdle to make drain-under-
@@ -164,7 +165,11 @@ def analyze_one(
             trace.enable()
             owns_tracer = True
     began = time.perf_counter()
-    engine = Engine(cache_dir=cache_dir)
+    engine = None
+    if cache_dir is not None:
+        from repro.engine.core import Engine
+
+        engine = Engine(cache_dir=cache_dir)
     outcome = FileOutcome(path=path)
     # Each file is its own correlation unit: telemetry recorded while
     # analyzing it (log records, worker spans) carries a per-file
@@ -214,7 +219,8 @@ def analyze_one(
             worker_tracer = trace.disable()
             if worker_tracer is not None:
                 outcome.trace_events = worker_tracer.events
-        engine.close()
+        if engine is not None:
+            engine.close()
         if scoped:
             obs_metrics.pop_scope()
 
@@ -349,8 +355,6 @@ def run_batch(
     # never changes a result — only where it was computed.
     import multiprocessing as mp
 
-    from repro.obs import metrics as obs_metrics
-
     methods = mp.get_all_start_methods()
     context = mp.get_context("fork" if "fork" in methods else "spawn")
     outcomes: Dict[str, FileOutcome] = {}
@@ -444,8 +448,6 @@ def _collect(
     """Assemble the batch result, folding worker-shipped trace events
     into the live tracer (each keeps its worker pid, so Perfetto shows
     one track per worker)."""
-    from repro.obs import trace
-
     tracer = trace.active()
     for outcome in outcomes:
         if outcome.trace_events:

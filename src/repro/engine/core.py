@@ -226,11 +226,12 @@ class Engine:
         cache handle and the parsed units stay usable. With ``keep``,
         each procedure the run lowered from a memo entry and left
         unconverted first takes the place of that entry's tree, for the
-        next run of its path to reuse. Only a caller done with the
-        run's result may keep: :func:`repro.pipeline.run` does, once
-        the manifest is written or the run aborted, so a daemon holds
-        no finished program between requests, only those procedures
-        and their COMMON blocks."""
+        next run of its path to reuse, and the run's program can no
+        longer be completed (:meth:`~repro.ipcp.driver.PreparedProgram.
+        hand_off`). Only a caller done with the run's result may keep:
+        :func:`repro.pipeline.run` does, once the manifest is written or
+        the run aborted, so a daemon holds no finished program between
+        requests, only those procedures and their COMMON blocks."""
         prepared = self._prepared
         if keep and prepared is not None:
             for entry, record in prepared.program.lowerings:
@@ -238,6 +239,7 @@ class Engine:
                 if (record.procedure.name in self._digests
                         and prepared.is_pending(record.procedure)):
                     entry.kept, entry.unit = record, None
+            prepared.hand_off()
         self._parsed = {}
         self._reset_run()
 

@@ -47,8 +47,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from repro._record import Record
 
 #: Environment variable carrying the armed plan across processes.
 ENV_VAR = "REPRO_FAULTS"
@@ -71,16 +72,19 @@ class FaultSpecError(ValueError):
     """A fault spec string that does not parse."""
 
 
-@dataclass
-class FaultSpec:
-    """One armed fault: an injection point plus trigger parameters."""
+class FaultSpec(Record):
+    """One armed fault: an injection point plus trigger parameters;
+    ``hits`` counts the matches seen so far (``nth`` counts against
+    it), ``fired`` the times this spec actually fired."""
 
-    point: str
-    params: Dict[str, str] = field(default_factory=dict)
-    #: Matches seen so far (``nth`` counts against this).
-    hits: int = 0
-    #: Times this spec actually fired.
-    fired: int = 0
+    __slots__ = _fields = ("point", "params", "hits", "fired")
+
+    def __init__(self, point: str, params: Optional[Dict[str, str]] = None,
+                 hits: int = 0, fired: int = 0):
+        self.point = point
+        self.params = params if params is not None else {}
+        self.hits = hits
+        self.fired = fired
 
     def describe(self) -> str:
         if not self.params:

@@ -6,11 +6,12 @@ carrying a :class:`SourceLocation`. Lowering to the IR
 which is what lets an engine keep parsed units across requests
 (:mod:`repro.frontend.unit_memo`).
 
-Nodes are plain ``__slots__`` classes with hand-written ``__init__``s:
-no per-node ``__dict__`` (a retained tree is a third smaller) and no
-class bodies generated at import, which a dataclass pays on every cold
-start. Each class lists its constructor fields in ``_fields``; equality
-and ``repr`` compare and print those, as dataclasses did.
+Nodes are plain ``__slots__`` classes with hand-written ``__init__``s
+(:class:`repro._record.Record`): no per-node ``__dict__`` (a retained
+tree is a third smaller) and no class bodies generated at import, which
+a dataclass pays on every cold start. Each class lists its constructor
+fields in ``_fields``; equality and ``repr`` compare and print those,
+as dataclasses did.
 """
 
 from __future__ import annotations
@@ -18,31 +19,15 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Tuple, Union
 
+from repro._record import Record
 from repro.frontend.source import SourceLocation
 
 
-class Node:
-    """Base of every node: value equality and a ``repr`` over
-    ``_fields``. Like a non-frozen dataclass, a node is unhashable."""
+class Node(Record):
+    """Base of every node. Like a non-frozen dataclass, a node is
+    unhashable."""
 
     __slots__ = ()
-    _fields: Tuple[str, ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in self._fields
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._fields
-        )
-        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ original text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro._record import Record
 
 
 class SourceLocation:
@@ -52,20 +52,20 @@ class SourceLocation:
 UNKNOWN_LOCATION = SourceLocation("<unknown>", 0, 0)
 
 
-@dataclass
-class SourceFile:
+class SourceFile(Record):
     """A named body of MiniFortran source text.
 
     Provides line-level access used by error reporting and by the
     source-to-source constant substitution pass.
     """
 
-    name: str
-    text: str
-    _lines: list = field(init=False, repr=False)
+    __slots__ = ("name", "text", "_lines")
+    _fields = ("name", "text")
 
-    def __post_init__(self) -> None:
-        self._lines = self.text.splitlines()
+    def __init__(self, name: str, text: str):
+        self.name = name
+        self.text = text
+        self._lines = text.splitlines()
 
     @property
     def lines(self) -> list:

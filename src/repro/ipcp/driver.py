@@ -21,9 +21,9 @@ whole program's IR (:attr:`AnalysisResult.program`, GSA refinement,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
+from repro._record import Record
 from repro.analysis.sccp import SCCPCallModel
 from repro.analysis.ssa import construct_ssa
 from repro.callgraph.callgraph import CallGraph, build_call_graph
@@ -82,14 +82,25 @@ class PreparedProgram:
         """Whether ``procedure`` is still unconverted here."""
         return self._pending.get(procedure.name) is procedure
 
+    def hand_off(self) -> None:
+        """Give the procedures still unconverted away: an engine closing
+        with ``keep`` reuses them in its next run of the path, so from
+        now on :meth:`convert` and :meth:`complete` raise instead of
+        converting them in place."""
+        self._pending = None
+
     def convert(self, procedure: Procedure) -> None:
         """Annotate ``procedure`` and convert it to SSA form, once."""
+        if self._pending is None:
+            raise _handed_off()
         if self._pending.pop(procedure.name, None) is not None:
             self._convert([procedure])
 
     def complete(self) -> Program:
         """The whole program, every procedure annotated and in SSA
         form."""
+        if self._pending is None:
+            raise _handed_off()
         if self._pending:
             procedures = list(self._pending.values())
             self._pending.clear()
@@ -105,25 +116,55 @@ class PreparedProgram:
         metrics.inc("ssa_procedures", len(procedures))
 
 
-@dataclass
-class AnalysisResult:
-    """Everything one analysis run produced."""
+def _handed_off() -> RuntimeError:
+    return RuntimeError(
+        "the run's unconverted procedures were handed to its engine for "
+        "the next run (Engine.close(keep=True)); read the program before "
+        "closing the engine"
+    )
 
-    config: AnalysisConfig
-    prepared: PreparedProgram
-    callgraph: CallGraph
-    modref: Optional[ModRefInfo]
-    return_functions: ReturnFunctionMap
-    jump_table: Optional[JumpFunctionTable]
-    propagation: Optional[PropagationResult]
-    constants: ConstantsResult
-    substitution: SubstitutionReport
-    dce_rounds: int = 0
-    #: Every component demoted during this run (empty = full precision).
-    resilience: ResilienceReport = field(default_factory=ResilienceReport)
-    #: Frontend diagnostics, when the run came through a resilient entry
-    #: point (:func:`analyze_source_resilient`).
-    diagnostics: Optional[DiagnosticEngine] = None
+
+class AnalysisResult(Record):
+    """Everything one analysis run produced. ``resilience`` holds every
+    component demoted during the run (empty = full precision);
+    ``diagnostics`` the frontend diagnostics, when the run came through
+    a resilient entry point (:func:`analyze_source_resilient`)."""
+
+    __slots__ = _fields = (
+        "config", "prepared", "callgraph", "modref", "return_functions",
+        "jump_table", "propagation", "constants", "substitution",
+        "dce_rounds", "resilience", "diagnostics",
+    )
+
+    def __init__(
+        self,
+        config: AnalysisConfig,
+        prepared: PreparedProgram,
+        callgraph: CallGraph,
+        modref: Optional[ModRefInfo],
+        return_functions: ReturnFunctionMap,
+        jump_table: Optional[JumpFunctionTable],
+        propagation: Optional[PropagationResult],
+        constants: ConstantsResult,
+        substitution: SubstitutionReport,
+        dce_rounds: int = 0,
+        resilience: Optional[ResilienceReport] = None,
+        diagnostics: Optional[DiagnosticEngine] = None,
+    ):
+        self.config = config
+        self.prepared = prepared
+        self.callgraph = callgraph
+        self.modref = modref
+        self.return_functions = return_functions
+        self.jump_table = jump_table
+        self.propagation = propagation
+        self.constants = constants
+        self.substitution = substitution
+        self.dce_rounds = dce_rounds
+        self.resilience = (
+            resilience if resilience is not None else ResilienceReport()
+        )
+        self.diagnostics = diagnostics
 
     @property
     def program(self) -> Program:
@@ -131,7 +172,9 @@ class AnalysisResult:
         engine's path the first read converts the procedures no summary
         needed, so every reader sees a cold run's program; the
         CONSTANTS answer, the counts and the transformed source read no
-        IR and convert nothing."""
+        IR and convert nothing. Once the engine closed with ``keep``,
+        the procedures left unconverted are its own: reading this
+        raises."""
         return self.prepared.complete()
 
     @property

@@ -27,9 +27,9 @@ caller's VAL set as the solver iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro._record import Record
 from repro.analysis.expr import ConstExpr, EntryExpr, Expr
 from repro.analysis.value_numbering import ValueNumbering
 from repro.callgraph.callgraph import CallGraph
@@ -43,8 +43,7 @@ from repro.ipcp.resilience import BOTTOM_KIND, ResilienceReport
 from repro.ipcp.return_functions import ForwardCallSemantics, ReturnFunctionMap
 
 
-@dataclass
-class ForwardJumpFunction:
+class ForwardJumpFunction(Record):
     """``J_s^y`` for one (call site, callee entry variable) pair.
 
     Exactly one payload is set: ``constant`` (the value is a known
@@ -53,12 +52,24 @@ class ForwardJumpFunction:
     produce a constant.
     """
 
-    kind: JumpFunctionKind
-    call: Call
-    target: Variable
-    constant: Optional[int] = None
-    source_var: Optional[Variable] = None
-    polynomial: Optional[Polynomial] = None
+    __slots__ = _fields = ("kind", "call", "target", "constant",
+                           "source_var", "polynomial")
+
+    def __init__(
+        self,
+        kind: JumpFunctionKind,
+        call: Call,
+        target: Variable,
+        constant: Optional[int] = None,
+        source_var: Optional[Variable] = None,
+        polynomial: Optional[Polynomial] = None,
+    ):
+        self.kind = kind
+        self.call = call
+        self.target = target
+        self.constant = constant
+        self.source_var = source_var
+        self.polynomial = polynomial
 
     @property
     def is_bottom(self) -> bool:

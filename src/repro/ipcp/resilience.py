@@ -19,9 +19,9 @@ demotion into a failure exit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
+from repro._record import FrozenRecord, setfield
 
 #: ``to_kind`` used when a component fell all the way to ⊥ / was dropped.
 BOTTOM_KIND = "bottom"
@@ -37,8 +37,7 @@ def summarize_demotions(rendered: List[str]) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Demotion:
+class Demotion(FrozenRecord):
     """One component that was degraded instead of aborting the run.
 
     ``component`` is a stable machine-readable tag (``jump_function``,
@@ -48,11 +47,16 @@ class Demotion:
     ``reason`` carries the triggering exception or budget message.
     """
 
-    component: str
-    site: str
-    from_kind: str
-    to_kind: str
-    reason: str
+    __slots__ = _fields = ("component", "site", "from_kind", "to_kind",
+                           "reason")
+
+    def __init__(self, component: str, site: str, from_kind: str,
+                 to_kind: str, reason: str):
+        setfield(self, "component", component)
+        setfield(self, "site", site)
+        setfield(self, "from_kind", from_kind)
+        setfield(self, "to_kind", to_kind)
+        setfield(self, "reason", reason)
 
     def render(self) -> str:
         return (

@@ -31,9 +31,9 @@ by the final SCCP substitution pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro._record import FrozenRecord, setfield
 from repro.analysis.expr import ConstExpr, EntryExpr, Expr, substitute
 from repro.analysis.sccp import SCCPCallModel
 from repro.analysis.value_numbering import CallSemantics, ValueNumbering
@@ -48,17 +48,20 @@ from repro.ipcp.resilience import BOTTOM_KIND, ResilienceReport
 from repro.summary.modref import ModRefInfo
 
 
-@dataclass(frozen=True)
-class ReturnJumpFunction:
+class ReturnJumpFunction(FrozenRecord):
     """``R_p^target``: the value of ``target`` after an invocation of
     ``procedure_name``, as an expression/polynomial over the procedure's
     entry values. ``support`` is the exact set of entry values used
     (§2)."""
 
-    procedure_name: str
-    target: Variable
-    expr: Expr
-    polynomial: Polynomial
+    __slots__ = _fields = ("procedure_name", "target", "expr", "polynomial")
+
+    def __init__(self, procedure_name: str, target: Variable, expr: Expr,
+                 polynomial: Polynomial):
+        setfield(self, "procedure_name", procedure_name)
+        setfield(self, "target", target)
+        setfield(self, "expr", expr)
+        setfield(self, "polynomial", polynomial)
 
     @property
     def support(self) -> frozenset:

@@ -21,9 +21,9 @@ is uninitialized).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+from repro._record import Record
 from repro.callgraph.callgraph import CallGraph
 from repro.ipcp.constants import ConstantsResult
 from repro.ipcp.jump_functions import JumpFunctionTable
@@ -37,15 +37,20 @@ from repro.obs import trace
 STRATEGIES = ("fifo", "lifo", "priority")
 
 
-@dataclass
-class PropagationStats:
+class PropagationStats(Record):
     """Work counters for the complexity ablations."""
 
-    procedure_visits: int = 0
-    jump_function_evaluations: int = 0
-    meets: int = 0
-    lowerings: int = 0
-    strategy: str = "fifo"
+    __slots__ = _fields = ("procedure_visits", "jump_function_evaluations",
+                           "meets", "lowerings", "strategy")
+
+    def __init__(self, procedure_visits: int = 0,
+                 jump_function_evaluations: int = 0, meets: int = 0,
+                 lowerings: int = 0, strategy: str = "fifo"):
+        self.procedure_visits = procedure_visits
+        self.jump_function_evaluations = jump_function_evaluations
+        self.meets = meets
+        self.lowerings = lowerings
+        self.strategy = strategy
 
 
 class _Worklist:
@@ -104,8 +109,7 @@ class _Worklist:
         return bool(self._pending)
 
 
-@dataclass
-class PropagationResult:
+class PropagationResult(Record):
     """VAL sets at fixpoint plus work statistics.
 
     ``excluded`` carries the call sites removed from the meets (GSA
@@ -113,9 +117,13 @@ class PropagationResult:
     a site does not appear in a cell's derivation.
     """
 
-    constants: ConstantsResult
-    stats: PropagationStats
-    excluded: frozenset = frozenset()
+    __slots__ = _fields = ("constants", "stats", "excluded")
+
+    def __init__(self, constants: ConstantsResult, stats: PropagationStats,
+                 excluded: frozenset = frozenset()):
+        self.constants = constants
+        self.stats = stats
+        self.excluded = excluded
 
 
 def entry_domain(

@@ -17,9 +17,9 @@ code".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro._record import Record
 from repro.analysis.sccp import (
     SCCPCallModel,
     SCCPResult,
@@ -32,26 +32,35 @@ from repro.ir.instructions import Const, Phi, Use
 from repro.ir.module import Procedure, Program
 
 
-@dataclass
-class SubstitutionSite:
+class SubstitutionSite(Record):
     """One source reference replaced by a constant."""
 
-    procedure_name: str
-    use: Use
-    value: int
+    __slots__ = _fields = ("procedure_name", "use", "value")
+
+    def __init__(self, procedure_name: str, use: Use, value: int):
+        self.procedure_name = procedure_name
+        self.use = use
+        self.value = value
 
     @property
     def location(self):
         return self.use.location
 
 
-@dataclass
-class SubstitutionReport:
+class SubstitutionReport(Record):
     """Substitution counts for one analysis configuration."""
 
-    per_procedure: Dict[str, int] = field(default_factory=dict)
-    sites: List[SubstitutionSite] = field(default_factory=list)
-    sccp_results: Dict[str, SCCPResult] = field(default_factory=dict)
+    __slots__ = _fields = ("per_procedure", "sites", "sccp_results")
+
+    def __init__(
+        self,
+        per_procedure: Optional[Dict[str, int]] = None,
+        sites: Optional[List[SubstitutionSite]] = None,
+        sccp_results: Optional[Dict[str, SCCPResult]] = None,
+    ):
+        self.per_procedure = per_procedure if per_procedure is not None else {}
+        self.sites = sites if sites is not None else []
+        self.sccp_results = sccp_results if sccp_results is not None else {}
 
     @property
     def total(self) -> int:

@@ -8,9 +8,9 @@ Program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
+from repro._record import Record
 from repro.frontend.ast import ProcedureKind
 from repro.frontend.source import SourceFile
 from repro.ir.cfg import ControlFlowGraph
@@ -18,8 +18,7 @@ from repro.ir.instructions import Call
 from repro.ir.symbols import SymbolTable, Variable, VarKind
 
 
-@dataclass
-class CommonBlock:
+class CommonBlock(Record):
     """A named COMMON block: an ordered list of shared global variables.
 
     The first declaration of a block fixes its member names and shapes;
@@ -30,9 +29,13 @@ class CommonBlock:
     members.
     """
 
-    name: str
-    declarer: int
-    members: List[Variable] = field(default_factory=list)
+    __slots__ = _fields = ("name", "declarer", "members")
+
+    def __init__(self, name: str, declarer: int,
+                 members: Optional[List[Variable]] = None):
+        self.name = name
+        self.declarer = declarer
+        self.members = members if members is not None else []
 
     def member(self, name: str) -> Optional[Variable]:
         for variable in self.members:

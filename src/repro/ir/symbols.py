@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
@@ -40,7 +39,6 @@ class VarKind(enum.Enum):
     RESULT = "result"  # the function-name variable holding the result
 
 
-@dataclass(eq=False, slots=True)
 class Variable:
     """A named storage location. Identity semantics: two Variables are the
     same variable iff they are the same object.
@@ -55,20 +53,27 @@ class Variable:
     the next number of a process-wide counter, above every lowered
     variable's. No two variables of one program share an order.
 
-    ``slots=True``: programs allocate one Variable per SSA version, so
-    the per-instance ``__dict__`` would dominate IR memory.
+    Slotted: programs allocate one Variable per SSA version, so the
+    per-instance ``__dict__`` would dominate IR memory.
     """
 
-    name: str
-    kind: VarKind
-    is_array: bool = False
-    dims: Optional[Tuple[int, ...]] = None
-    common_block: Optional[str] = None
-    order: int = field(init=False, repr=False)
+    __slots__ = ("name", "kind", "is_array", "dims", "common_block", "order")
 
     _later = itertools.count(_CREATED_LATER)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        kind: VarKind,
+        is_array: bool = False,
+        dims: Optional[Tuple[int, ...]] = None,
+        common_block: Optional[str] = None,
+    ):
+        self.name = name
+        self.kind = kind
+        self.is_array = is_array
+        self.dims = dims
+        self.common_block = common_block
         self.order = next(Variable._later)
 
     @property

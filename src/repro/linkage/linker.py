@@ -20,52 +20,69 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._record import FrozenRecord, Record, setfield
 from repro.config import AnalysisConfig
 from repro.diagnostics import E_IO, E_LINK, E_SEMANTIC, W_LINK, DiagnosticEngine
 from repro.frontend import ast
 from repro.frontend.errors import SemanticError
 from repro.frontend.parser import parse_source
 from repro.frontend.source import SourceLocation
+from repro.obs.trace import stage
 
 #: Canonical filename attached to the merged module.
 LINKED_FILENAME = "<linked>"
 
 
-@dataclass(frozen=True)
-class LinkUnit:
+class LinkUnit(FrozenRecord):
     """One entry of the program-level symbol table: a unit name bound
     to its defining file."""
 
-    name: str
-    kind: ast.ProcedureKind
-    filename: str
-    location: SourceLocation
+    __slots__ = _fields = ("name", "kind", "filename", "location")
+
+    def __init__(self, name: str, kind: ast.ProcedureKind, filename: str,
+                 location: SourceLocation):
+        setfield(self, "name", name)
+        setfield(self, "kind", kind)
+        setfield(self, "filename", filename)
+        setfield(self, "location", location)
 
     def describe(self) -> str:
         return f"{self.kind.value} {self.name} ({self.location})"
 
 
-@dataclass
-class LinkResult:
+class LinkResult(Record):
     """Everything one link produced.
 
     ``module`` is None when linking failed (any ``E_LINK``/``E_IO``
     diagnostic); per-file *parse* errors alone do not fail the link —
     the affected units are analyzed as conservative stubs, matching
-    single-file resilient analysis.
+    single-file resilient analysis. ``commons`` maps a COMMON block
+    name to the defining file of its first declaration and its member
+    names in declaration order.
     """
 
-    module: Optional[ast.Module]
-    units: List[LinkUnit] = field(default_factory=list)
-    #: COMMON block name -> (defining file of the first declaration,
-    #: member names in declaration order).
-    commons: Dict[str, Tuple[str, List[str]]] = field(default_factory=dict)
-    diagnostics: DiagnosticEngine = field(default_factory=DiagnosticEngine)
-    entry: Optional[str] = None
-    files: List[str] = field(default_factory=list)
+    __slots__ = _fields = ("module", "units", "commons", "diagnostics",
+                           "entry", "files")
+
+    def __init__(
+        self,
+        module: Optional[ast.Module],
+        units: Optional[List[LinkUnit]] = None,
+        commons: Optional[Dict[str, Tuple[str, List[str]]]] = None,
+        diagnostics: Optional[DiagnosticEngine] = None,
+        entry: Optional[str] = None,
+        files: Optional[List[str]] = None,
+    ):
+        self.module = module
+        self.units = units if units is not None else []
+        self.commons = commons if commons is not None else {}
+        self.diagnostics = (
+            diagnostics if diagnostics is not None else DiagnosticEngine()
+        )
+        self.entry = entry
+        self.files = files if files is not None else []
 
     @property
     def ok(self) -> bool:
@@ -170,10 +187,11 @@ def link_sources(
         diag.error(E_LINK, "nothing to link: no input files")
         return result
 
-    parse = parse_source if engine is None else engine.parse
     modules: List[Tuple[str, ast.Module]] = []
-    for filename, text in named:
-        modules.append((filename, parse(text, filename, diag)))
+    with stage("parse"):
+        parse = parse_source if engine is None else engine.parse
+        for filename, text in named:
+            modules.append((filename, parse(text, filename, diag)))
 
     # 1. Program-level symbol table + duplicate detection.
     by_name: Dict[str, List[LinkUnit]] = {}
@@ -387,28 +405,16 @@ def analyze_linked_sources(
 
     Returns ``(result, link)`` where ``result`` is None when linking or
     semantic lowering failed (the diagnostics on ``link.diagnostics``
-    say why). Mirrors :func:`repro.ipcp.driver.analyze_source_resilient`.
+    say why). Mirrors :func:`repro.ipcp.driver.analyze_source_resilient`,
+    stages included: the files parse in its ``parse`` stage and the
+    linked module lowers in its ``lower`` stage.
     """
-    from repro.ipcp.driver import analyze_program
-
     link = link_sources(
         named, entry=entry, diagnostics=diagnostics, engine=engine
     )
-    if link.module is None:
-        return None, link
-    from repro.ir.lowering import lower_module
-
-    try:
-        program = lower_module(link.module, None)
-    except SemanticError as err:
-        link.diagnostics.error(E_SEMANTIC, err.message, err.location)
-        return None, link
-    result = analyze_program(
-        program, config, engine=engine,
-        path=project_label([name for name, _ in named], entry),
+    return _analyze_link(
+        link, config, engine, project_label([name for name, _ in named], entry)
     )
-    result.diagnostics = link.diagnostics
-    return result, link
 
 
 def analyze_linked_files(
@@ -419,23 +425,29 @@ def analyze_linked_files(
     engine=None,
 ):
     """File-path variant of :func:`analyze_linked_sources`."""
-    from repro.ipcp.driver import analyze_program
-
     link = link_files(
         paths, entry=entry, diagnostics=diagnostics, engine=engine
     )
+    return _analyze_link(link, config, engine, project_label(paths, entry))
+
+
+def _analyze_link(link: LinkResult, config, engine, label: str):
+    """``(result, link)`` of the analysis of a linked module, lowered
+    and run under the project's ``label``."""
     if link.module is None:
         return None, link
-    from repro.ir.lowering import lower_module
+    # Looked up on the module when called, so wrapping
+    # ``lowering.lower_module`` wraps this call too.
+    from repro.ipcp.driver import analyze_program
+    from repro.ir import lowering
 
     try:
-        program = lower_module(link.module, None)
+        with stage("lower"):
+            program = lowering.lower_module(link.module, None)
     except SemanticError as err:
         link.diagnostics.error(E_SEMANTIC, err.message, err.location)
         return None, link
-    result = analyze_program(
-        program, config, engine=engine, path=project_label(paths, entry)
-    )
+    result = analyze_program(program, config, engine=engine, path=label)
     result.diagnostics = link.diagnostics
     return result, link
 

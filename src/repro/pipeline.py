@@ -29,9 +29,9 @@ Live and replayed outcomes are filled by the same function
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro._record import Record
 from repro.config import AnalysisConfig
 from repro.diagnostics import E_IO, Diagnostic, Severity
 from repro.frontend.errors import FrontendError
@@ -47,8 +47,7 @@ DIAGNOSTICS = "diagnostics"
 ERROR = "error"
 
 
-@dataclass
-class Request:
+class Request(Record):
     """One analysis request: a file (``path``) or a linked project
     (``project`` plus its ``entry``), under ``config``.
 
@@ -62,15 +61,30 @@ class Request:
     recorded: both exist to check the analysis again.
     """
 
-    config: AnalysisConfig
-    path: Optional[str] = None
-    project: Optional[Sequence[str]] = None
-    entry: Optional[str] = None
-    explain: Optional[str] = None
-    passes: Optional[Tuple[str, ...]] = None
-    renders: FrozenSet[str] = frozenset({"constants"})
-    dot: Optional[str] = None
-    strict: bool = False
+    __slots__ = _fields = ("config", "path", "project", "entry", "explain",
+                           "passes", "renders", "dot", "strict")
+
+    def __init__(
+        self,
+        config: AnalysisConfig,
+        path: Optional[str] = None,
+        project: Optional[Sequence[str]] = None,
+        entry: Optional[str] = None,
+        explain: Optional[str] = None,
+        passes: Optional[Tuple[str, ...]] = None,
+        renders: FrozenSet[str] = frozenset({"constants"}),
+        dot: Optional[str] = None,
+        strict: bool = False,
+    ):
+        self.config = config
+        self.path = path
+        self.project = project
+        self.entry = entry
+        self.explain = explain
+        self.passes = passes
+        self.renders = renders
+        self.dot = dot
+        self.strict = strict
 
     @property
     def files(self) -> List[str]:
@@ -92,49 +106,94 @@ class Request:
         return self.renders | {k for k, v in asked.items() if v is not None}
 
 
-@dataclass
-class FileOutcome:
+class FileOutcome(Record):
     """One request's result, JSON-able end to end (it crosses the batch
     pool). Sections beyond the CONSTANTS answer are filled only when
-    the request renders them."""
+    the request renders them.
 
-    path: str
-    status: str = OK
-    config: Optional[str] = None
-    constants_report: Optional[str] = None
-    total_pairs: int = 0
-    substituted: int = 0
-    per_procedure: Dict[str, int] = field(default_factory=dict)
-    diagnostics: Optional[str] = None
-    error: Optional[str] = None
-    #: Codes of the error-severity diagnostics (``E005`` = link failure).
-    error_codes: List[str] = field(default_factory=list)
-    #: Rendered demotions of a degraded run (empty at full precision).
-    degraded: List[str] = field(default_factory=list)
-    #: Served wholesale from the run-level replay cache.
-    replayed: bool = False
-    #: ``InvalidationReport.to_dict()`` (cache-enabled runs only).
-    invalidation: Optional[dict] = None
-    transformed_source: Optional[str] = None
-    ir: Optional[str] = None
-    stats: Optional[str] = None
-    symbols: Optional[str] = None
-    #: The ``explain`` cell's derivation, or why it could not be given.
-    explain: Optional[str] = None
-    explain_error: Optional[str] = None
-    dot_files: Optional[int] = None
-    #: Rendered :class:`~repro.opt.report.OptReport` (``passes`` given),
-    #: plus its total change count for the batch summary line.
-    opt_report: Optional[str] = None
-    opt_changes: int = 0
-    #: ``PipelineProfile.to_dict()`` (profiled batch files only).
-    profile: Optional[dict] = None
-    #: Per-file :class:`~repro.obs.metrics.MetricsRegistry` delta
-    #: (metrics-enabled batch files only).
-    metrics: Optional[dict] = None
-    #: Chrome trace events recorded by a batch pool worker, shipped back
-    #: for the parent tracer to adopt (cleared once adopted).
-    trace_events: Optional[list] = None
+    - ``error_codes``: codes of the error-severity diagnostics
+      (``E005`` = link failure);
+    - ``degraded``: rendered demotions of a degraded run (empty at full
+      precision);
+    - ``replayed``: served wholesale from the run-level replay cache;
+    - ``invalidation``: ``InvalidationReport.to_dict()`` (cache-enabled
+      runs only);
+    - ``explain``/``explain_error``: the ``explain`` cell's derivation,
+      or why it could not be given;
+    - ``opt_report``/``opt_changes``: the rendered
+      :class:`~repro.opt.report.OptReport` (``passes`` given), and its
+      total change count for the batch summary line;
+    - ``profile``: ``PipelineProfile.to_dict()`` (profiled batch files
+      only);
+    - ``metrics``: per-file :class:`~repro.obs.metrics.MetricsRegistry`
+      delta (metrics-enabled batch files only);
+    - ``trace_events``: Chrome trace events recorded by a batch pool
+      worker, shipped back for the parent tracer to adopt (cleared once
+      adopted).
+    """
+
+    __slots__ = _fields = (
+        "path", "status", "config", "constants_report", "total_pairs",
+        "substituted", "per_procedure", "diagnostics", "error",
+        "error_codes", "degraded", "replayed", "invalidation",
+        "transformed_source", "ir", "stats", "symbols", "explain",
+        "explain_error", "dot_files", "opt_report", "opt_changes",
+        "profile", "metrics", "trace_events",
+    )
+
+    def __init__(
+        self,
+        path: str,
+        status: str = OK,
+        config: Optional[str] = None,
+        constants_report: Optional[str] = None,
+        total_pairs: int = 0,
+        substituted: int = 0,
+        per_procedure: Optional[Dict[str, int]] = None,
+        diagnostics: Optional[str] = None,
+        error: Optional[str] = None,
+        error_codes: Optional[List[str]] = None,
+        degraded: Optional[List[str]] = None,
+        replayed: bool = False,
+        invalidation: Optional[dict] = None,
+        transformed_source: Optional[str] = None,
+        ir: Optional[str] = None,
+        stats: Optional[str] = None,
+        symbols: Optional[str] = None,
+        explain: Optional[str] = None,
+        explain_error: Optional[str] = None,
+        dot_files: Optional[int] = None,
+        opt_report: Optional[str] = None,
+        opt_changes: int = 0,
+        profile: Optional[dict] = None,
+        metrics: Optional[dict] = None,
+        trace_events: Optional[list] = None,
+    ):
+        self.path = path
+        self.status = status
+        self.config = config
+        self.constants_report = constants_report
+        self.total_pairs = total_pairs
+        self.substituted = substituted
+        self.per_procedure = per_procedure if per_procedure is not None else {}
+        self.diagnostics = diagnostics
+        self.error = error
+        self.error_codes = error_codes if error_codes is not None else []
+        self.degraded = degraded if degraded is not None else []
+        self.replayed = replayed
+        self.invalidation = invalidation
+        self.transformed_source = transformed_source
+        self.ir = ir
+        self.stats = stats
+        self.symbols = symbols
+        self.explain = explain
+        self.explain_error = explain_error
+        self.dot_files = dot_files
+        self.opt_report = opt_report
+        self.opt_changes = opt_changes
+        self.profile = profile
+        self.metrics = metrics
+        self.trace_events = trace_events
 
     @property
     def ok(self) -> bool:

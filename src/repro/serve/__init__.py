@@ -24,10 +24,20 @@ exactly where torn caches, slow requests, and signal-driven shutdown
 stop being one-off failures and become steady-state events. Every degradation path here is exercised by the
 fault-injection matrix (:mod:`repro.faults`, ``tests/robustness``)
 rather than trusted.
+
+Public names resolve lazily (:mod:`repro._lazy`): ``import
+repro.serve.client`` loads the client and the wire format, not the
+daemon and the analysis it runs.
 """
 
-from repro.serve.client import ReproClient, ServeRequestError, wait_for_server
-from repro.serve.server import ReproServer, ServeConfig
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.client": (
+        "ReproClient", "ServeRequestError", "wait_for_server",
+    ),
+    "repro.serve.server": ("ReproServer", "ServeConfig"),
+})
 
 __all__ = [
     "ReproClient",

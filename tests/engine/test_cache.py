@@ -2,7 +2,6 @@
 
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -199,7 +198,7 @@ class TestInvalidation:
     def test_config_change_invalidates_all(self, tmp_path):
         with Engine(cache_dir=str(tmp_path)) as engine:
             run(engine=engine)
-        other = replace(AnalysisConfig(), use_mod=False)
+        other = AnalysisConfig().replace(use_mod=False)
         base = metrics.snapshot()
         with Engine(cache_dir=str(tmp_path)) as engine:
             run(config=other, engine=engine)
@@ -220,10 +219,10 @@ class TestInvalidation:
     def test_fingerprint_excludes_verify_ir(self):
         base = AnalysisConfig()
         assert fingerprint.config_fingerprint(base) == (
-            fingerprint.config_fingerprint(replace(base, verify_ir=True))
+            fingerprint.config_fingerprint(base.replace(verify_ir=True))
         )
         assert fingerprint.config_fingerprint(base) != (
-            fingerprint.config_fingerprint(replace(base, use_mod=False))
+            fingerprint.config_fingerprint(base.replace(use_mod=False))
         )
 
 
@@ -247,7 +246,7 @@ class TestRunCache:
     def test_degraded_run_never_recorded(self, tmp_path):
         from repro.config import AnalysisBudget
 
-        config = replace(AnalysisConfig(), budget=AnalysisBudget.tight())
+        config = AnalysisConfig().replace(budget=AnalysisBudget.tight())
         with Engine(cache_dir=str(tmp_path)) as engine:
             result = run(config, engine=engine)
             assert result.resilience.demotions, "tight budget must demote"

@@ -4,7 +4,6 @@ transformed source and demotion log — both cold (every summary built
 and stored) and warm (every summary decoded from the cache)."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -19,7 +18,7 @@ from repro.suite.programs import SUITE_PROGRAM_NAMES, program_source
 
 GENERATOR = GeneratorConfig(procedures=6, max_statements_per_procedure=8)
 SEEDS = range(25)
-TIGHT = replace(AnalysisConfig(), budget=AnalysisBudget.tight())
+TIGHT = AnalysisConfig().replace(budget=AnalysisBudget.tight())
 
 
 def fingerprint_run(text, config=None, engine=None):

@@ -238,6 +238,35 @@ def replace_all(text: str, replacements) -> str:
     return text
 
 
+def test_a_handed_off_program_cannot_be_completed(tmp_path):
+    """After ``close(keep=True)`` the procedures the run left
+    unconverted belong to the engine: reading the run's program raises
+    instead of converting them in place, and the next edit still
+    reuses them and answers, lowers and orders as a cold run does."""
+    path = tmp_path / "m.f"
+    path.write_text(MATRIX_BASE)
+    engine = Engine(cache_dir=str(tmp_path / "cache"))
+    engine_run(engine, path)
+    path.write_text(MATRIX_BASE.replace(*FIRST_EDIT))
+    handed = engine_run(engine, path)
+    assert handed.converted == {"u"}
+    with pytest.raises(RuntimeError, match="handed to its engine"):
+        handed.result.program
+    prepared = handed.result.prepared
+    with pytest.raises(RuntimeError, match="handed to its engine"):
+        prepared.convert(prepared.program.procedure("main"))
+    path.write_text(MATRIX_BASE.replace("A = B + 1", "A = B + 3"))
+    warm = engine_run(engine, path, keep=False)
+    cold = analyze_file(str(path), CONFIG)
+    assert warm.shown == shown(cold)
+    assert variable_ranks(warm.result) == variable_ranks(cold)
+    assert warm.index == cold_index(tmp_path, path, "after")
+    assert warm.counters == {"lower_units_lowered": 1,
+                             "lower_units_reused": len(cold.program) - 1}
+    assert format_program(warm.result.program) == format_program(cold.program)
+    engine.close()
+
+
 @pytest.mark.parametrize(
     "replacements, error, changed",
     [case[1:] for case in MATRIX], ids=[case[0] for case in MATRIX],

@@ -60,13 +60,11 @@ class TestAnalysisMemo:
         assert metrics.value("lowerings") == 1
 
     def test_config_is_part_of_the_key(self):
-        from dataclasses import replace
-
         memo.clear_memos()
         metrics.reset()
         memo.memoized_analysis(PROGRAM, AnalysisConfig(), "a.f")
         memo.memoized_analysis(
-            PROGRAM, replace(AnalysisConfig(), use_mod=False), "a.f"
+            PROGRAM, AnalysisConfig().replace(use_mod=False), "a.f"
         )
         assert metrics.value("analysis_memo_hits") == 0
         assert metrics.value("lowerings") == 2

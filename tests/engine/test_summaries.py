@@ -5,8 +5,6 @@ The on-disk cache is the codec's only wire, so the round-trips below
 that matter for reuse go through a real :class:`SummaryCache` entry
 (canonical JSON text) rather than stopping at the in-memory payload."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.analysis.expr import ConstExpr, EntryExpr, OpExpr, UnknownExpr
@@ -256,7 +254,7 @@ class TestForwardFunctionCodec:
     @pytest.mark.parametrize("kind", list(JumpFunctionKind),
                              ids=lambda kind: kind.value)
     def test_every_kind_through_cache(self, kind, tmp_path):
-        config = replace(AnalysisConfig(), jump_function=kind)
+        config = AnalysisConfig().replace(jump_function=kind)
         program, _, _, table = built(CALL_KINDS, config)
         caller = program.procedure("s")
         data = stored(

@@ -12,8 +12,6 @@ cached run sees the plain driver's output byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro import pipeline
@@ -348,8 +346,8 @@ class TestEveryExportInputDirtiesTheCaller:
         """With at most 2 polynomial terms, Q's return function for A
         is demoted: from 2 terms to 3 it disappears; from 3 terms to 4
         it stays absent and only the demotion changes."""
-        config = replace(
-            AnalysisConfig(), budget=AnalysisBudget(polynomial_terms=2)
+        config = AnalysisConfig().replace(
+            budget=AnalysisBudget(polynomial_terms=2)
         )
         sum_of = " + ".join("ABC"[:terms])
         before = CALLER.replace("CALL Q(X)", "CALL Q(X, 3, 4)") + (
@@ -472,7 +470,7 @@ def test_gsa_refinement_completes_the_program_first(tmp_path):
 
 
 def test_verify_ir_completes_the_program_first(tmp_path):
-    config = replace(AnalysisConfig(), verify_ir=True)
+    config = AnalysisConfig().replace(verify_ir=True)
     plain = analyze_source(TRI_PROGRAM, config)
     engine = warm_engine(TRI_PROGRAM, "<string>", AnalysisConfig(), tmp_path)
     warm = analyze_source(TRI_PROGRAM, config, engine=engine)

@@ -4,6 +4,7 @@ from repro.config import AnalysisConfig
 from repro.ipcp.driver import prepare_program
 from repro.ipcp.return_functions import (
     ReturnFunctionMap,
+    ReturnJumpFunction,
     build_return_functions,
     callee_target_for,
 )
@@ -194,8 +195,6 @@ class TestMapBasics:
         """The per-procedure index answers exactly what scanning every
         function would: same functions, same order, and an overwritten
         (procedure, target) entry keeps its first position."""
-        from dataclasses import replace
-
         from repro.analysis.expr import ConstExpr
         from repro.suite.generator import GeneratorConfig, generate_case
 
@@ -217,7 +216,10 @@ class TestMapBasics:
                 if index < len(fns):
                     return_map.add(fns[index])
         target = next(fns[0] for fns in per_procedure.values() if len(fns) > 1)
-        overwrite = replace(target, expr=ConstExpr(99))
+        overwrite = ReturnJumpFunction(
+            target.procedure_name, target.target, ConstExpr(99),
+            target.polynomial,
+        )
         return_map.add(overwrite)
         assert len(return_map) == len(built)
 

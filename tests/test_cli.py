@@ -21,6 +21,14 @@ PROGRAM = (
 )
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh ``repro`` process on this checkout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+
+
 @pytest.fixture
 def program_file(tmp_path):
     path = tmp_path / "prog.f"
@@ -179,6 +187,22 @@ class TestEngineFlags:
         assert "--- profile ---" in out
         assert '"stages"' in out
 
+    def test_link_profile_lists_parse_and_lower(self, tmp_path, capsys):
+        main_path, sub_path = tmp_path / "main.f", tmp_path / "s.f"
+        main_path.write_text(
+            "      PROGRAM MAIN\n      EXTERNAL S\n      N = 6\n"
+            "      CALL S(N)\n      END\n"
+        )
+        sub_path.write_text(
+            "      SUBROUTINE S(K)\n      A = K + 1\n      RETURN\n"
+            "      END\n"
+        )
+        destination = tmp_path / "profile.json"
+        assert main(["link", str(main_path), str(sub_path),
+                     "--profile", str(destination)]) == 0
+        stages = json.loads(destination.read_text())["stages"]
+        assert {"parse", "lower", "prepare", "substitution"} <= set(stages)
+
     def test_profile_to_file(self, program_file, tmp_path, capsys):
         import json
 
@@ -191,12 +215,62 @@ class TestEngineFlags:
         assert "stages" in data and "counters" in data
 
 
+class TestEntryPoints:
+    """``python -m repro`` and ``python -m repro.cli`` print what an
+    in-process ``main`` prints; the entry point freezes the collector
+    once the subcommand returned, ``main`` never does."""
+
+    @pytest.mark.parametrize("module", ["repro", "repro.cli"])
+    def test_fresh_process_prints_what_main_prints(self, module,
+                                                  program_file, capsys):
+        assert main(["analyze", program_file]) == 0
+        expected = capsys.readouterr().out
+        done = subprocess.run(
+            [sys.executable, "-m", module, "analyze", program_file],
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, expected)
+
+    def test_only_the_entry_point_freezes(self, program_file, capsys):
+        import gc
+
+        frozen = gc.get_freeze_count()
+        assert main(["analyze", program_file]) == 0
+        assert gc.get_freeze_count() == frozen
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import gc, sys\n"
+             "from repro.cli import entry_point\n"
+             f"sys.argv = ['repro-ipcp', 'analyze', {program_file!r}]\n"
+             "code = entry_point()\n"
+             "print(code, gc.get_freeze_count() > 0, file=sys.stderr)\n"],
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
+        )
+        assert done.stderr.split() == ["0", "True"]
+
+
 class TestCompare:
     def test_compare_lists_all_kinds(self, program_file, capsys):
         assert main(["compare", program_file]) == 0
         out = capsys.readouterr().out
         for kind in ("literal", "intraprocedural", "pass_through", "polynomial"):
             assert kind in out
+
+
+#: Every subcommand, in the order ``repro --help`` lists them.
+SUBCOMMANDS = ("analyze", "link", "batch", "optimize", "serve", "client",
+               "top", "obs", "compare", "run", "clone", "integrate",
+               "suite", "tables", "oracle")
+
+
+def usage_error(capsys, argv) -> str:
+    """stderr of ``main(argv)``, which must exit 2 with a usage line."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro-ipcp")
+    return err
 
 
 class TestParser:
@@ -207,6 +281,48 @@ class TestParser:
     def test_unknown_jump_kind_rejected(self, program_file):
         with pytest.raises(SystemExit):
             main(["analyze", program_file, "--jump", "quantum"])
+
+    def test_help_names_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("    ") and line[4] != " "]
+        assert listed == list(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_every_subcommand_has_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            f"usage: repro-ipcp {command} [-h]"
+        )
+
+    def test_unknown_subcommand_is_a_usage_error(self, capsys):
+        err = usage_error(capsys, ["bogus"])
+        assert "argument command: invalid choice: 'bogus'" in err
+
+    def test_jobs_must_be_positive(self, program_file, capsys):
+        err = usage_error(capsys, ["batch", program_file, "--jobs", "0"])
+        assert "argument --jobs: must be at least 1, got 0" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--solver-fuel", "--sccp-fuel", "--max-poly-terms"]
+    )
+    def test_budgets_must_not_be_negative(self, flag, program_file, capsys):
+        err = usage_error(capsys, ["analyze", program_file, flag, "-1"])
+        assert f"argument {flag}: must be at least 0, got -1" in err
+        err = usage_error(capsys, ["analyze", program_file, flag, "x"])
+        assert f"argument {flag}: invalid int value: 'x'" in err
+
+    def test_run_batch_still_rejects_zero_jobs(self, program_file):
+        from repro.engine.batch import run_batch
+
+        with pytest.raises(ValueError):
+            run_batch([program_file], jobs=0)
 
 
 PROGRAM_WITH_IO = (
@@ -413,13 +529,10 @@ class TestAnalyzeExitCodes:
             "      PROGRAM MAIN\n      X = 2\u00b2\n      END\n",
             encoding="utf-8",
         )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=(
-            os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        ))
         done = subprocess.run(
             [sys.executable, "-m", "repro", "analyze", str(path), *extra],
-            capture_output=True, encoding="utf-8", env=env, timeout=120,
+            capture_output=True, encoding="utf-8",
+            env=dict(fresh_env(), PYTHONIOENCODING="utf-8"), timeout=120,
         )
         assert done.returncode == 1
         assert f"{path}:2:12: {rendered}: unexpected character '\u00b2'" \

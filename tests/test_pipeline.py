@@ -423,9 +423,13 @@ UNCALLED = frozenset({
     "repro.profiling", "repro.obs.timeline", "repro.frontend.unit_memo",
     "repro.ir.kept",
 })
+#: Standard-library modules a plain request never needs: ``dataclasses``
+#: imports ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``),
+#: all compiled again by every process that imports it.
+UNNEEDED_STDLIB = frozenset({"dataclasses", "inspect"})
 #: Packages whose ``__init__`` resolves its public names lazily.
 LAZY_PACKAGES = ("repro", "repro.analysis", "repro.engine", "repro.frontend",
-                 "repro.ipcp", "repro.ir", "repro.obs")
+                 "repro.ipcp", "repro.ir", "repro.obs", "repro.serve")
 
 
 def _fresh(code: str) -> str:
@@ -441,26 +445,40 @@ def _fresh(code: str) -> str:
 
 
 def _imported(argv=None) -> set:
-    """The ``repro`` modules loaded by ``import repro.cli`` and, given
-    ``argv``, one ``main(argv)`` request."""
+    """The ``repro`` modules, and those of :data:`UNNEEDED_STDLIB`,
+    loaded by ``import repro.cli`` and, given ``argv``, one
+    ``main(argv)`` request."""
     code = (
         "import sys\n"
         "from repro.cli import main\n"
         + (f"assert main({argv!r}) == 0\n" if argv is not None else "")
         + "print(' '.join(sorted(m for m in sys.modules "
-        "if m.startswith('repro'))))\n"
+        f"if m.startswith('repro') or m in {sorted(UNNEEDED_STDLIB)!r})))\n"
     )
     return set(_fresh(code).strip().splitlines()[-1].split())
 
 
 def test_plain_requests_import_no_heavy_subsystem(sources):
-    assert not _imported() & UNCALLED
+    cli = _imported()
+    assert not cli & (UNCALLED | UNNEEDED_STDLIB)
     analyze = _imported(["analyze", sources["tri"]])
     assert not {m for m in analyze if m.startswith(HEAVY)}
-    assert not analyze & UNCALLED
+    assert not analyze & (UNCALLED | UNNEEDED_STDLIB)
     link = _imported(["link", sources["main"], sources["work"]])
+    assert not link & UNNEEDED_STDLIB
     added = link - analyze
     assert added and all(m.startswith("repro.linkage") for m in added)
+
+
+def test_serve_client_imports_no_analysis_or_daemon_code():
+    """``repro client`` and the daemon's other clients load the client
+    and the wire format only."""
+    loaded = _fresh(
+        "import sys, repro.serve.client\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('repro')))\n"
+    ).split()
+    assert set(loaded) == {"repro", "repro._lazy", "repro.serve",
+                           "repro.serve.client", "repro.serve.protocol"}
 
 
 #: Modules only an engine with a cache runs.
@@ -470,11 +488,36 @@ CACHE_MODULES = frozenset({
 })
 
 
+#: Modules only an engine runs: a cacheless batch runs the plain driver.
+ENGINE_MODULES = frozenset({"repro.engine.core", "repro.frontend.unit_memo"})
+
+
 def test_cacheless_batch_imports_no_cache_or_linker_code(sources):
     batch = _imported(["batch", sources["tri"], sources["opt"]])
     assert "repro.engine.batch" in batch
-    assert not batch & CACHE_MODULES
+    assert not batch & (CACHE_MODULES | ENGINE_MODULES | UNNEEDED_STDLIB)
     assert not {m for m in batch if m.startswith("repro.linkage")}
+
+
+def test_batch_parent_loads_the_analysis_before_it_forks(sources):
+    """The pool's workers are forked from a parent that has already
+    loaded the driver (so no worker compiles it) and no engine code."""
+    argv = ["batch", sources["tri"], sources["opt"], "--jobs", "2"]
+    code = (
+        "import concurrent.futures as cf, sys\n"
+        "from repro.cli import main\n"
+        "loaded = []\n"
+        "start = cf.ProcessPoolExecutor.__init__\n"
+        "def recording(self, *args, **kwargs):\n"
+        "    loaded.extend(m for m in sys.modules if m.startswith('repro'))\n"
+        "    start(self, *args, **kwargs)\n"
+        "cf.ProcessPoolExecutor.__init__ = recording\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(' '.join(loaded))\n"
+    )
+    loaded = set(_fresh(code).strip().splitlines()[-1].split())
+    assert "repro.ipcp.driver" in loaded
+    assert not loaded & (CACHE_MODULES | ENGINE_MODULES)
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
