@@ -4,7 +4,7 @@ A from-scratch implementation of the Callahan–Cooper–Kennedy–Torczon
 interprocedural constant propagation framework ("Interprocedural
 constant propagation", SIGPLAN '86) together with the jump-function
 implementation study of Grove & Torczon (PLDI '93): a MiniFortran
-frontend, a CFG/SSA compiler middle end, MOD/REF summaries, four forward
+frontend, a CFG/SSA compiler middle end, MOD summaries, four forward
 jump function implementations, polynomial return jump functions, the
 call-graph propagation solver, and the substitution-count evaluation
 harness that regenerates the study's tables.

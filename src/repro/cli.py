@@ -185,13 +185,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="demote polynomial jump functions larger than N terms",
     )
-    parser.add_argument(
-        "--solver",
-        default="fifo",
-        choices=("fifo", "lifo", "priority"),
-        help="interprocedural worklist discipline (default: fifo; the "
-        "fixpoint is identical, only the work differs)",
-    )
 
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
@@ -436,7 +429,6 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
     )
     return config.replace(
         budget=budget,
-        solver_strategy=getattr(args, "solver", "fifo"),
         fault_isolation=not getattr(args, "strict", False),
         verify_ir=getattr(args, "verify_ir", False),
     )
@@ -981,4 +973,8 @@ def entry_point() -> int:
 
 
 if __name__ == "__main__":
+    # ``python -m repro.cli`` runs this file as ``__main__``. Listing it
+    # under its own name too lets ``repro.cli_tools`` import its helpers
+    # from it instead of compiling the file a second time.
+    sys.modules.setdefault("repro.cli", sys.modules[__name__])
     sys.exit(entry_point())

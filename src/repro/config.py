@@ -133,11 +133,6 @@ class AnalysisConfig(FrozenRecord):
       computed — ``"value_numbering"`` (the paper's implementation) or
       ``"sccp"`` (branch-sensitive conditional propagation, which can
       prove more call-site operands constant by pruning dead arms);
-    - ``solver_strategy``: worklist discipline of the interprocedural
-      solver — ``"fifo"``, ``"lifo"``, or ``"priority"``
-      (reverse-postorder rank: an SCC-level topological wavefront). The
-      fixpoint is identical for every strategy; only the amount of
-      work differs;
     - ``gsa_refinement``: GSA-style refinement (§4.2's closing remark):
       after a first propagation, regenerate jump functions with
       branch-sensitive oracles seeded by CONSTANTS and exclude
@@ -160,8 +155,8 @@ class AnalysisConfig(FrozenRecord):
 
     __slots__ = _fields = (
         "jump_function", "use_return_functions", "use_mod", "complete",
-        "interprocedural", "gcp_oracle", "solver_strategy",
-        "gsa_refinement", "budget", "fault_isolation", "verify_ir",
+        "interprocedural", "gcp_oracle", "gsa_refinement", "budget",
+        "fault_isolation", "verify_ir",
     )
 
     def __init__(
@@ -172,7 +167,6 @@ class AnalysisConfig(FrozenRecord):
         complete: bool = False,
         interprocedural: bool = True,
         gcp_oracle: str = "value_numbering",
-        solver_strategy: str = "fifo",
         gsa_refinement: bool = False,
         budget: AnalysisBudget = _DEFAULT_BUDGET,
         fault_isolation: bool = True,
@@ -184,7 +178,6 @@ class AnalysisConfig(FrozenRecord):
         setfield(self, "complete", complete)
         setfield(self, "interprocedural", interprocedural)
         setfield(self, "gcp_oracle", gcp_oracle)
-        setfield(self, "solver_strategy", solver_strategy)
         setfield(self, "gsa_refinement", gsa_refinement)
         setfield(self, "budget", budget)
         setfield(self, "fault_isolation", fault_isolation)

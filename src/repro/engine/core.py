@@ -15,7 +15,7 @@ hashes its members' IR before call-effect annotation and SSA, and the
 MOD set as a call binds it — not the callee's key. An edit therefore
 rebuilds a caller only when what the caller reads of it changed.
 :meth:`Engine.start` computes the digests and interfaces right after
-the call graph and MOD/REF; the bottom-up return walk keys each
+the call graph and MOD; the bottom-up return walk keys each
 component when it reaches it, since its callees' exports are known by
 then (a configuration without return functions keys every component
 up front). A procedure is annotated and converted to SSA form

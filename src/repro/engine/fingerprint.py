@@ -7,7 +7,7 @@ hashes* over everything a summary's value can depend on:
   (:func:`repro.ir.printer.format_procedure`), its formals with their
   shapes, its result variable and the COMMON members it declares
   (:func:`procedure_digest`). The engine computes these right after the
-  call graph and MOD/REF, before any procedure is converted, so a clean
+  call graph and MOD, before any procedure is converted, so a clean
   procedure needs neither its annotation nor its SSA form to be looked
   up;
 - one hash of the program's scalar globals (:func:`globals_layout`:
@@ -97,7 +97,6 @@ def config_fingerprint(config: AnalysisConfig) -> str:
         "complete": config.complete,
         "interprocedural": config.interprocedural,
         "gcp_oracle": config.gcp_oracle,
-        "solver_strategy": config.solver_strategy,
         "gsa_refinement": config.gsa_refinement,
         "fault_isolation": config.fault_isolation,
         "budget": [

@@ -20,9 +20,6 @@ The pipeline (§4.1) has four stages, each a module here:
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.ipcp.binding_graph": (
-        "BindingMultiGraph", "propagate_binding_graph",
-    ),
     "repro.ipcp.cloning": ("CloningReport", "clone_for_constants"),
     "repro.ipcp.constants": ("ConstantsResult",),
     "repro.ipcp.driver": ("AnalysisResult", "analyze_program", "analyze_source"),
@@ -42,7 +39,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "AnalysisResult",
     "AnalysisStatistics",
-    "BindingMultiGraph",
     "CloningReport",
     "IntegrationReport",
     "ConstantsResult",
@@ -57,7 +53,6 @@ __all__ = [
     "clone_for_constants",
     "collect_statistics",
     "integrate_and_propagate",
-    "propagate_binding_graph",
     "build_forward_jump_functions",
     "build_return_functions",
     "measure_substitution",

@@ -164,11 +164,8 @@ def _extend_modref(
     clone: Procedure,
     var_map: Dict[Variable, Variable],
 ) -> None:
-    """Register the clone's MOD/REF sets (the original's, with local
+    """Register the clone's MOD set (the original's, with local
     variables translated through the cloning map)."""
     modref.mod[clone.name] = {
         var_map.get(var, var) for var in modref.mod.get(original.name, set())
-    }
-    modref.ref[clone.name] = {
-        var_map.get(var, var) for var in modref.ref.get(original.name, set())
     }

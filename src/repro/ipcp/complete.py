@@ -17,7 +17,7 @@ Notes on fidelity:
 - The call graph is rebuilt after each DCE round (eliminating a dead
   block can delete a call site — precisely the effect that exposes new
   constants, since the dead edge no longer participates in the meet).
-- MOD/REF summaries are kept from the original program; after deletion
+- MOD summaries are kept from the original program; after deletion
   they are a sound over-approximation.
 """
 

@@ -45,20 +45,6 @@ class ConstantsResult:
             result[var] = value if value.is_constant else BOTTOM
         return result
 
-    def relevant_constants_of(
-        self, procedure_name: str, ref_sets: Dict[str, set]
-    ) -> Dict[Variable, int]:
-        """CONSTANTS(p) filtered to names the procedure actually
-        references — Metzger & Stroud's observation that "procedures
-        often have constant-valued global variables that are known but
-        irrelevant" (§4.1). ``ref_sets`` is ``ModRefInfo.ref``."""
-        referenced = ref_sets.get(procedure_name, set())
-        return {
-            var: value
-            for var, value in self.constants_of(procedure_name).items()
-            if var in referenced
-        }
-
     def total_pairs(self) -> int:
         """Total number of (procedure, name, value) constant pairs."""
         return sum(

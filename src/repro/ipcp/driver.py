@@ -3,7 +3,7 @@
 :func:`analyze_source` / :func:`analyze_program` run the full pipeline
 for one :class:`~repro.config.AnalysisConfig`:
 
-    parse -> lower -> call graph -> MOD/REF -> call-effect annotation
+    parse -> lower -> call graph -> MOD -> call-effect annotation
     -> SSA -> return jump functions -> forward jump functions
     -> interprocedural propagation -> substitution measurement
 
@@ -12,7 +12,7 @@ substitute -> DCE -> re-propagate iterations
 (:mod:`repro.ipcp.complete`).
 
 With an engine (:class:`repro.engine.Engine`), the front half stops
-after the call graph and MOD/REF: a procedure gets its call-effect
+after the call graph and MOD: a procedure gets its call-effect
 annotation and SSA form only when one of its summaries misses the
 engine's cache (:class:`PreparedProgram`), and every reader of the
 whole program's IR (:attr:`AnalysisResult.program`, GSA refinement,
@@ -58,14 +58,14 @@ from repro.summary.modref import ModRefInfo, annotate_call_effects, compute_modr
 
 class PreparedProgram:
     """A program after the front half of the pipeline: the call graph
-    and MOD/REF of the whole program, and each procedure's call-effect
+    and MOD of the whole program, and each procedure's call-effect
     annotation and SSA form.
 
     :func:`prepare_program` converts every procedure at once. The
     engine's path converts one procedure when one of its summaries
     misses (:meth:`convert`) and leaves the rest to :meth:`complete`.
     A procedure's conversion reads only its own IR, its callees'
-    formals and MOD/REF, so converting in any order yields exactly the
+    formals and MOD, so converting in any order yields exactly the
     program that converting all at once does.
     """
 
@@ -191,7 +191,7 @@ class AnalysisResult(Record):
 
 
 def prepare(program: Program, config: AnalysisConfig) -> PreparedProgram:
-    """The call graph and MOD/REF of a freshly lowered program, whose
+    """The call graph and MOD of a freshly lowered program, whose
     procedures the returned :class:`PreparedProgram` annotates and
     converts to SSA form (mutating ``program``) on demand or all at
     once."""
@@ -203,7 +203,7 @@ def prepare(program: Program, config: AnalysisConfig) -> PreparedProgram:
 def prepare_program(
     program: Program, config: AnalysisConfig
 ) -> "tuple[CallGraph, Optional[ModRefInfo]]":
-    """Shared front half: call graph, MOD/REF, call-effect annotation,
+    """Shared front half: call graph, MOD, call-effect annotation,
     SSA conversion. Mutates ``program`` (which must be freshly lowered
     and not yet in SSA form)."""
     prepared = prepare(program, config)
@@ -269,7 +269,6 @@ def analyze_prepared(
         with stage("propagate"):
             propagation = propagate(
                 program, callgraph, jump_table,
-                strategy=config.solver_strategy,
                 max_visits=budget.solver_visits, resilience=resilience,
             )
         constants = propagation.constants
@@ -349,7 +348,6 @@ def _refine_gsa_style(
         )
         propagation = propagate(
             program, callgraph, jump_table, excluded_calls=excluded,
-            strategy=config.solver_strategy,
             max_visits=budget.solver_visits, resilience=resilience,
         )
         constants = propagation.constants
@@ -390,7 +388,7 @@ def analyze_program(
 
     ``engine`` caches the per-procedure stages (see
     :func:`analyze_prepared`); it is started on the program right after
-    the call graph and MOD/REF, before any procedure is converted, with
+    the call graph and MOD, before any procedure is converted, with
     ``path`` (the analyzed file, or a linked project's label) naming
     the summaries it reads and writes, and finished when the run ends
     or aborts. Complete propagation re-runs the pipeline on programs it

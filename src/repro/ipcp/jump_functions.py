@@ -316,11 +316,19 @@ def build_forward_jump_functions_for(
     budget: Optional[AnalysisBudget] = None,
     resilience: Optional[ResilienceReport] = None,
     fault_isolation: bool = True,
+    entry_values: Optional[Dict[Variable, LatticeValue]] = None,
+    excluded: Optional[set] = None,
 ) -> None:
     """Build the forward jump functions of every call site *in*
     ``procedure`` into ``table``. Independent across procedures (the
     return map is read-only here), which is what lets the engine fan
-    this out per procedure."""
+    this out per procedure.
+
+    GSA-style refinement passes the other two arguments:
+    ``entry_values`` seeds the SCCP oracle's entry (⊥ everywhere when
+    None), and a call in a block that SCCP proves never executes goes
+    into ``excluded`` instead of getting jump functions.
+    """
     numbering = ValueNumbering(
         procedure, ForwardCallSemantics(program, return_map)
     )
@@ -347,7 +355,7 @@ def build_forward_jump_functions_for(
         try:
             sccp_result = run_sccp(
                 procedure,
-                entry_values=None,
+                entry_values=entry_values,
                 call_model=ReturnFunctionCallModel(program, return_map),
                 max_visits=budget.sccp_visits if budget else None,
             )
@@ -355,7 +363,8 @@ def build_forward_jump_functions_for(
             if resilience is None:
                 raise
             # Fall back to the plain value-numbering oracle for this
-            # one procedure (strictly weaker, hence sound).
+            # one procedure (strictly weaker, hence sound), keeping all
+            # of its call sites.
             resilience.record(
                 "sccp_oracle", procedure.name, "sccp",
                 "value_numbering", str(err),
@@ -367,7 +376,16 @@ def build_forward_jump_functions_for(
                 "sccp_oracle", procedure.name, "sccp",
                 "value_numbering", f"{type(err).__name__}: {err}",
             )
+    dead_calls = set()
+    if excluded is not None and sccp_result is not None:
+        for block in sccp_result.dead_blocks():
+            dead_calls.update(
+                i for i in block.instructions if isinstance(i, Call)
+            )
     for call in procedure.call_sites():
+        if call in dead_calls:
+            excluded.add(call)
+            continue
         callee = program.procedure(call.callee)
         for formal, arg in zip(callee.formals, call.args):
             if not formal.is_scalar or arg.is_array:
@@ -399,81 +417,17 @@ def build_refined_jump_functions(
     are *excluded* from the call graph's meets entirely. Returns
     ``(table, excluded_calls)``.
     """
-    from repro.analysis.sccp import run_sccp
-    from repro.ipcp.return_functions import ReturnFunctionCallModel
-
     table = JumpFunctionTable(kind)
     excluded: set = set()
-    call_model = ReturnFunctionCallModel(program, return_map)
-
-    def make(call, target, operand, is_global, sccp_result, procedure):
-        if resilience is None:
-            return _make_jump_function(
-                kind, call, target, operand, numbering,
-                is_global=is_global, sccp_result=sccp_result,
-            )
-        return _make_jump_function_guarded(
-            kind, call, target, operand, numbering,
-            is_global=is_global, sccp_result=sccp_result,
+    for procedure in callgraph.top_down_order():
+        build_forward_jump_functions_for(
+            program, procedure, kind, table, return_map, gcp_oracle="sccp",
             budget=budget, resilience=resilience,
             fault_isolation=fault_isolation,
-            procedure_name=procedure.name,
+            entry_values=constants.entry_lattice(procedure),
+            excluded=excluded,
         )
-
-    for procedure in callgraph.top_down_order():
-        numbering = ValueNumbering(
-            procedure, ForwardCallSemantics(program, return_map)
-        )
-        try:
-            sccp_result = run_sccp(
-                procedure, constants.entry_lattice(procedure), call_model,
-                max_visits=budget.sccp_visits if budget else None,
-            )
-        except BudgetExceeded as err:
-            if resilience is None:
-                raise
-            # No branch-sensitive refinement for this procedure: keep all
-            # of its call sites and fall back to the plain oracle.
-            resilience.record(
-                "sccp_oracle", procedure.name, "sccp",
-                "value_numbering", str(err),
-            )
-            sccp_result = None
-        except Exception as err:  # noqa: BLE001 — fault isolation
-            if resilience is None or not fault_isolation:
-                raise
-            resilience.record(
-                "sccp_oracle", procedure.name, "sccp",
-                "value_numbering", f"{type(err).__name__}: {err}",
-            )
-            sccp_result = None
-        dead_blocks = (
-            set(sccp_result.dead_blocks()) if sccp_result is not None else set()
-        )
-        for call in procedure.call_sites():
-            block = _block_of_call(procedure, call)
-            if block in dead_blocks:
-                excluded.add(call)
-                continue
-            callee = program.procedure(call.callee)
-            for formal, arg in zip(callee.formals, call.args):
-                if not formal.is_scalar or arg.is_array:
-                    continue
-                table.add(
-                    make(call, formal, arg.value, False, sccp_result, procedure)
-                )
-            for use in call.entry_uses:
-                table.add(
-                    make(call, use.var, use, True, sccp_result, procedure)
-                )
     return table, excluded
-
-
-def _block_of_call(procedure: Procedure, call: Call):
-    for block in procedure.cfg.blocks:
-        if call in block.instructions:
-            return block
-    return None
 
 
 def _make_jump_function(

@@ -33,72 +33,45 @@ from repro.lattice import BOTTOM, LatticeValue, TOP, meet_all
 from repro.obs import trace
 
 
-#: Worklist disciplines understood by :func:`propagate`.
-STRATEGIES = ("fifo", "lifo", "priority")
-
-
 class PropagationStats(Record):
     """Work counters for the complexity ablations."""
 
     __slots__ = _fields = ("procedure_visits", "jump_function_evaluations",
-                           "meets", "lowerings", "strategy")
+                           "meets", "lowerings")
 
     def __init__(self, procedure_visits: int = 0,
                  jump_function_evaluations: int = 0, meets: int = 0,
-                 lowerings: int = 0, strategy: str = "fifo"):
+                 lowerings: int = 0):
         self.procedure_visits = procedure_visits
         self.jump_function_evaluations = jump_function_evaluations
         self.meets = meets
         self.lowerings = lowerings
-        self.strategy = strategy
 
 
 class _Worklist:
-    """Worklist with explicit duplicate-enqueue bookkeeping.
+    """FIFO worklist with explicit duplicate-enqueue bookkeeping.
 
     ``_pending`` tracks exact membership: a push of an already-pending
     procedure is dropped (one entry per procedure, ever), and every pop
-    — on *every* strategy — prunes the popped procedure from
-    ``_pending`` so it can be re-queued by a later lowering. Keeping
-    the set and the container behind one interface makes it impossible
-    for a strategy to update one without the other (the failure mode a
-    bare ``deque`` + ``set`` pair invites).
-
-    Strategies: ``"fifo"`` (queue), ``"lifo"`` (stack), ``"priority"``
-    (always the procedure earliest in reverse postorder — an SCC-level
-    topological wavefront from main toward the leaves).
+    prunes the popped procedure from ``_pending`` so it can be re-queued
+    by a later lowering. Keeping the set and the queue behind one
+    interface makes it impossible to update one without the other (the
+    failure mode a bare ``deque`` + ``set`` pair invites).
     """
 
-    def __init__(self, strategy: str, rank: Dict[Procedure, int]):
-        self._strategy = strategy
-        self._rank = rank
+    def __init__(self):
         self._pending: Set[Procedure] = set()
         self._queue: deque = deque()
-        self._heap: List[tuple] = []
 
     def push(self, procedure: Procedure) -> bool:
         if procedure in self._pending:
             return False
         self._pending.add(procedure)
-        if self._strategy == "priority":
-            import heapq
-
-            heapq.heappush(
-                self._heap, (self._rank[procedure], procedure.name, procedure)
-            )
-        else:
-            self._queue.append(procedure)
+        self._queue.append(procedure)
         return True
 
     def pop(self) -> Procedure:
-        if self._strategy == "priority":
-            import heapq
-
-            procedure = heapq.heappop(self._heap)[2]
-        elif self._strategy == "lifo":
-            procedure = self._queue.pop()
-        else:
-            procedure = self._queue.popleft()
+        procedure = self._queue.popleft()
         self._pending.discard(procedure)
         return procedure
 
@@ -160,22 +133,17 @@ def propagate(
     program: Program,
     callgraph: CallGraph,
     table: JumpFunctionTable,
-    strategy: str = "fifo",
     excluded_calls: Optional[Set] = None,
     max_visits: Optional[int] = None,
     resilience=None,
 ) -> PropagationResult:
     """Run the iterative propagation to its fixpoint.
 
-    ``strategy`` selects the worklist discipline (``"fifo"``,
-    ``"lifo"``, or ``"priority"`` — reverse-postorder rank, an
-    SCC-level topological wavefront) — the fixpoint is identical in
-    every case (the lattice is finite and the meets are monotone; the
-    ablation benchmark measures the work difference). The worklist is
-    seeded in reverse postorder over the call graph, so values flow
-    from main toward the leaves on the first sweep. ``excluded_calls``
-    removes specific call sites from the meets — the GSA-style
-    refinement marks never-executed calls this way (§4.2).
+    The worklist is a FIFO queue seeded in reverse postorder over the
+    call graph, so values flow from main toward the leaves on the first
+    sweep; a procedure whose VAL set lowers queues its callees again.
+    ``excluded_calls`` removes specific call sites from the meets — the
+    GSA-style refinement marks never-executed calls this way (§4.2).
 
     ``max_visits`` is the solver's fuel (``AnalysisBudget.
     solver_visits``): when the worklist exceeds it, iteration stops and
@@ -183,10 +151,7 @@ def propagate(
     (⊥ claims nothing; main's cells are propagation *inputs*, not
     iterated). The exhaustion is recorded on ``resilience`` when given.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown worklist strategy {strategy!r}")
-
-    stats = PropagationStats(strategy=strategy)
+    stats = PropagationStats()
     val: Dict[str, Dict[Variable, LatticeValue]] = {}
     scalar_globals = program.scalar_globals()
     for procedure in program:
@@ -195,11 +160,10 @@ def propagate(
             for var in entry_domain(procedure, program, scalar_globals)
         }
 
-    seed_order = [p for p in callgraph.reverse_postorder() if not p.is_main]
-    rank = {p: index for index, p in enumerate(seed_order)}
-    worklist = _Worklist(strategy, rank)
-    for procedure in seed_order:
-        worklist.push(procedure)
+    worklist = _Worklist()
+    for procedure in callgraph.reverse_postorder():
+        if not procedure.is_main:
+            worklist.push(procedure)
     excluded_calls = excluded_calls or set()
 
     while worklist:
@@ -213,9 +177,7 @@ def propagate(
                     f"procedure visits",
                 )
             if trace.ENABLED:
-                trace.instant(
-                    "solver.exhausted", budget=max_visits, strategy=strategy
-                )
+                trace.instant("solver.exhausted", budget=max_visits)
             break
         procedure = worklist.pop()
         stats.procedure_visits += 1

@@ -27,7 +27,6 @@ class AnalysisStatistics:
     total_support: int = 0
     total_evaluation_cost: int = 0
     return_jump_functions: int = 0
-    solver_strategy: str = "fifo"
     solver_visits: int = 0
     solver_jf_evaluations: int = 0
     solver_lowerings: int = 0
@@ -49,7 +48,6 @@ class AnalysisStatistics:
                 f"total support size:       {self.total_support}",
                 f"total evaluation cost:    {self.total_evaluation_cost}",
                 f"return jump functions:    {self.return_jump_functions}",
-                f"solver strategy:          {self.solver_strategy}",
                 f"solver procedure visits:  {self.solver_visits}",
                 f"solver JF evaluations:    {self.solver_jf_evaluations}",
                 f"solver lowerings:         {self.solver_lowerings}",
@@ -86,7 +84,6 @@ def collect_statistics(result: AnalysisResult) -> AnalysisStatistics:
         )
     if result.propagation is not None:
         solver = result.propagation.stats
-        stats.solver_strategy = solver.strategy
         stats.solver_visits = solver.procedure_visits
         stats.solver_jf_evaluations = solver.jump_function_evaluations
         stats.solver_lowerings = solver.lowerings

@@ -426,7 +426,7 @@ class _ProcedureLowerer:
         The body becomes one ``Read`` that assigns an unknowable value
         to every scalar the unit could observably write — its scalar
         formals (call-by-reference!), every scalar COMMON member it
-        declares, and its result variable — so MOD/REF summaries, jump
+        declares, and its result variable — so MOD summaries, jump
         functions, and return functions for this unit are all maximally
         conservative without any special-casing downstream.
         """

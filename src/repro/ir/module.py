@@ -2,7 +2,7 @@
 
 A :class:`Program` owns every :class:`Procedure` plus the shared global
 :class:`~repro.ir.symbols.Variable` objects that COMMON blocks introduce.
-Interprocedural passes (call graph, MOD/REF, IPCP) all operate on a
+Interprocedural passes (call graph, MOD, IPCP) all operate on a
 Program.
 """
 

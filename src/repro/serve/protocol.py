@@ -45,8 +45,9 @@ answer is never silently indistinguishable from a clean one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
+
+from repro._record import Record
 
 #: Bump on incompatible wire changes; echoed in every response.
 PROTOCOL_VERSION = 1
@@ -74,14 +75,18 @@ class ProtocolError(ValueError):
     """A frame that does not parse into a valid request."""
 
 
-@dataclass
-class Request:
+class Request(Record):
     """One parsed client request."""
 
-    op: str
-    id: object = None
-    path: Optional[str] = None
-    params: Dict[str, object] = field(default_factory=dict)
+    __slots__ = _fields = ("op", "id", "path", "params")
+
+    def __init__(self, op: str, id: object = None,
+                 path: Optional[str] = None,
+                 params: Optional[Dict[str, object]] = None):
+        self.op = op
+        self.id = id
+        self.path = path
+        self.params = {} if params is None else params
 
 
 def parse_request(payload: object) -> Request:

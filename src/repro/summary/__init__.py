@@ -1,4 +1,4 @@
-"""Interprocedural side-effect summaries (MOD/REF)."""
+"""Interprocedural side-effect summaries (MOD)."""
 
 from repro.summary.modref import ModRefInfo, annotate_call_effects, compute_modref
 

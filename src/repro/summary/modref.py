@@ -1,14 +1,11 @@
-"""Flow-insensitive interprocedural MOD/REF side-effect analysis.
+"""Flow-insensitive interprocedural MOD side-effect analysis.
 
-For every procedure ``p`` this computes
-
-- ``MOD(p)``: the variables (in ``p``'s own scope: formals, locals,
-  globals) that an invocation of ``p`` *may* modify, and
-- ``REF(p)``: the variables it may reference,
-
-by iterating direct effects plus call-site binding (a Cooper–Kennedy
-style fixpoint over the call graph; recursion converges because the sets
-only grow).
+For every procedure ``p`` this computes ``MOD(p)``: the variables (in
+``p``'s own scope: formals, locals, globals) that an invocation of ``p``
+*may* modify, by iterating direct effects plus call-site binding (a
+Cooper–Kennedy style fixpoint over the call graph; recursion converges
+because the sets only grow). REF, the variables a procedure may
+reference, is not computed: nothing in the analysis reads it.
 
 The study found MOD information decisive: "incorporating MOD information
 significantly increases the number of constants that can be detected"
@@ -30,17 +27,13 @@ from repro.ir.symbols import Variable
 
 
 class ModRefInfo:
-    """MOD and REF sets for every procedure, keyed by procedure name."""
+    """MOD sets for every procedure, keyed by procedure name."""
 
     def __init__(self):
         self.mod: Dict[str, Set[Variable]] = {}
-        self.ref: Dict[str, Set[Variable]] = {}
 
     def may_modify(self, procedure_name: str, var: Variable) -> bool:
         return var in self.mod.get(procedure_name, ())
-
-    def may_reference(self, procedure_name: str, var: Variable) -> bool:
-        return var in self.ref.get(procedure_name, ())
 
     def modified_globals(self, procedure_name: str) -> List[Variable]:
         # MOD sets hash by identity, so raw iteration order varies from
@@ -59,12 +52,10 @@ class ModRefInfo:
 
 
 def compute_modref(program: Program, callgraph: CallGraph) -> ModRefInfo:
-    """Compute MOD/REF to a fixpoint over the call graph."""
+    """Compute MOD to a fixpoint over the call graph."""
     info = ModRefInfo()
     for procedure in program:
-        direct_mod, direct_ref = _direct_effects(procedure)
-        info.mod[procedure.name] = direct_mod
-        info.ref[procedure.name] = direct_ref
+        info.mod[procedure.name] = _direct_mod(procedure)
 
     changed = True
     while changed:
@@ -73,47 +64,33 @@ def compute_modref(program: Program, callgraph: CallGraph) -> ModRefInfo:
         # faster; a simple sweep is clear and the graphs are small.
         for procedure in callgraph.bottom_up_order():
             mod = info.mod[procedure.name]
-            ref = info.ref[procedure.name]
             for site in callgraph.sites_from(procedure):
                 callee_mod = info.mod[site.callee.name]
-                callee_ref = info.ref[site.callee.name]
-                for bound_set, own_set in ((callee_mod, mod), (callee_ref, ref)):
-                    for var in _bind_to_caller(site.call, site.callee, bound_set):
-                        if var not in own_set:
-                            own_set.add(var)
-                            changed = True
+                for var in _bind_to_caller(site.call, site.callee, callee_mod):
+                    if var not in mod:
+                        mod.add(var)
+                        changed = True
     return info
 
 
-def _direct_effects(procedure: Procedure):
-    """Variables directly assigned / referenced by the procedure body
-    (ignoring call effects, which the fixpoint adds)."""
+def _direct_mod(procedure: Procedure) -> Set[Variable]:
+    """Variables directly assigned by the procedure body (ignoring call
+    effects, which the fixpoint adds)."""
     mod: Set[Variable] = set()
-    ref: Set[Variable] = set()
     for instruction in procedure.cfg.instructions():
         if isinstance(instruction, Call):
-            # Only the explicit actuals are direct effects; callee
-            # effects flow in through binding during the fixpoint.
-            for use in instruction.uses():
-                ref.add(use.var)
-            for arg in instruction.args:
-                if arg.is_array:
-                    ref.add(arg.array)
+            # A call's own direct effect is its result; callee effects
+            # flow in through binding during the fixpoint.
             if instruction.result is not None:
                 mod.add(instruction.result.var)
             continue
         for definition in instruction.defs():
             mod.add(definition.var)
-        for use in instruction.uses():
-            ref.add(use.var)
         array = getattr(instruction, "array", None)
-        if array is not None:
-            # ArrayStore modifies, ArrayLoad references.
-            if instruction.defs():
-                ref.add(array)
-            else:
-                mod.add(array)
-    return mod, ref
+        if array is not None and not instruction.defs():
+            # An ArrayStore (no scalar def) modifies its array.
+            mod.add(array)
+    return mod
 
 
 def _bind_to_caller(call: Call, callee: Procedure, callee_vars: Set[Variable]):

@@ -85,35 +85,3 @@ class TestFormatting:
         assert result.total_pairs() == 0
         for procedure in program:
             assert result.constants_of(procedure.name) == {}
-
-
-class TestRelevantConstants:
-    def test_unreferenced_globals_filtered(self):
-        from repro.ipcp.driver import analyze_source
-
-        # W never references H: H=2 is known-but-irrelevant for W.
-        result = analyze_source(
-            "      PROGRAM MAIN\n      COMMON /C/ G, H\n      G = 1\n"
-            "      H = 2\n      CALL W\n      END\n"
-            "      SUBROUTINE W\n      COMMON /C/ G, H\n      X = G\n"
-            "      END\n"
-        )
-        full = result.constants.constants_of("w")
-        relevant = result.constants.relevant_constants_of(
-            "w", result.modref.ref
-        )
-        names = lambda d: {v.name for v in d}
-        assert names(full) == {"g", "h"}
-        assert names(relevant) == {"g"}
-
-    def test_relevant_is_subset(self):
-        from repro.ipcp.driver import analyze_source
-        from repro.suite.programs import program_source
-
-        result = analyze_source(program_source("ocean"), filename="ocean.f")
-        for procedure in result.program:
-            full = result.constants.constants_of(procedure.name)
-            relevant = result.constants.relevant_constants_of(
-                procedure.name, result.modref.ref
-            )
-            assert set(relevant) <= set(full)

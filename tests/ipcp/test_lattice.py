@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.ipcp.lattice import BOTTOM, TOP, const, depth_to_bottom, meet_all
+from repro.lattice import BOTTOM, TOP, const, depth_to_bottom, meet_all
 
 
 def elements():

@@ -1,7 +1,5 @@
 """Interprocedural propagation solver tests (§2)."""
 
-import pytest
-
 from repro.config import AnalysisConfig, JumpFunctionKind
 from repro.ipcp.driver import prepare_program
 from repro.ipcp.jump_functions import build_forward_jump_functions
@@ -11,13 +9,13 @@ from repro.ipcp.solver import entry_domain, propagate
 from tests.conftest import lower
 
 
-def solve(text, kind=JumpFunctionKind.POLYNOMIAL, strategy="fifo"):
+def solve(text, kind=JumpFunctionKind.POLYNOMIAL):
     program = lower(text)
     config = AnalysisConfig(jump_function=kind)
     callgraph, modref = prepare_program(program, config)
     return_map = build_return_functions(program, callgraph, modref)
     table = build_forward_jump_functions(program, callgraph, kind, return_map)
-    result = propagate(program, callgraph, table, strategy=strategy)
+    result = propagate(program, callgraph, table)
     return program, result
 
 
@@ -131,61 +129,12 @@ class TestDomain:
         assert s.formals[1] in domain
 
 
-class TestStrategies:
-    @pytest.mark.parametrize("strategy", ["fifo", "lifo", "priority"])
-    def test_same_fixpoint(self, strategy):
-        program, result = solve(DEEP_CHAIN, strategy=strategy)
-        assert result.constants.constants_of("c3")
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            solve(DEEP_CHAIN, strategy="random")
-
+class TestStats:
     def test_stats_populated(self):
         _, result = solve(DEEP_CHAIN)
         assert result.stats.procedure_visits > 0
         assert result.stats.jump_function_evaluations > 0
         assert result.stats.lowerings > 0
-
-    @pytest.mark.parametrize("strategy", ["lifo", "priority"])
-    def test_fixpoint_parity_with_fifo_on_suite(self, strategy):
-        from repro.suite.programs import SUITE_PROGRAM_NAMES, program_source
-
-        def rendered(result, procedure_name):
-            return {
-                var.name: str(value)
-                for var, value in result.constants.val_set(
-                    procedure_name
-                ).items()
-            }
-
-        for name in SUITE_PROGRAM_NAMES:
-            text = program_source(name)
-            program, fifo = solve(text)
-            _, other = solve(text, strategy=strategy)
-            for procedure in program:
-                assert rendered(other, procedure.name) == (
-                    rendered(fifo, procedure.name)
-                ), f"{strategy} diverged from fifo on {name}/{procedure.name}"
-
-    def test_priority_never_does_more_work_on_suite(self):
-        """The topological wavefront (reverse postorder rank) visits
-        callers before callees, so by the time a callee is popped its
-        callers' VAL sets have usually settled — fewer re-visits than
-        an arrival-order queue on every suite program."""
-        from repro.suite.programs import SUITE_PROGRAM_NAMES, program_source
-
-        for name in SUITE_PROGRAM_NAMES:
-            text = program_source(name)
-            _, fifo = solve(text)
-            _, priority = solve(text, strategy="priority")
-            assert priority.stats.procedure_visits <= (
-                fifo.stats.procedure_visits
-            ), f"priority regressed on {name}"
-
-    def test_stats_record_strategy(self):
-        _, result = solve(DEEP_CHAIN, strategy="priority")
-        assert result.stats.strategy == "priority"
 
 
 DIAMOND = (
@@ -205,9 +154,8 @@ class TestDiamondRequeue:
     class exists to prevent), a later lowering of l or r could not
     re-queue b and b would keep a stale, unsoundly-constant VAL set."""
 
-    @pytest.mark.parametrize("strategy", ["fifo", "lifo", "priority"])
-    def test_shared_callee_sees_both_parents(self, strategy):
-        program, result = solve(DIAMOND, strategy=strategy)
+    def test_shared_callee_sees_both_parents(self):
+        program, result = solve(DIAMOND)
         b = program.procedure("b")
         # l passes 1 and r passes 2: b's formal must meet to bottom.
         assert result.constants.constants_of("b") == {}
@@ -215,10 +163,9 @@ class TestDiamondRequeue:
 
         assert result.constants.val_set("b")[b.formals[0]] is BOTTOM
 
-    @pytest.mark.parametrize("strategy", ["fifo", "lifo", "priority"])
-    def test_agreeing_parents_stay_constant(self, strategy):
+    def test_agreeing_parents_stay_constant(self):
         agreeing = DIAMOND.replace("CALL R(2)", "CALL R(1)")
-        program, result = solve(agreeing, strategy=strategy)
+        program, result = solve(agreeing)
         b = program.procedure("b")
         assert result.constants.constants_of("b") == {b.formals[0]: 1}
 
@@ -228,12 +175,10 @@ class TestWorklist:
         def __init__(self, name):
             self.name = name
 
-    def make(self, strategy="fifo", names=("a", "b", "c")):
+    def make(self, names=("a", "b", "c")):
         from repro.ipcp.solver import _Worklist
 
-        procs = [self.FakeProc(n) for n in names]
-        rank = {p: i for i, p in enumerate(procs)}
-        return _Worklist(strategy, rank), procs
+        return _Worklist(), [self.FakeProc(n) for n in names]
 
     def test_duplicate_push_dropped(self):
         wl, (a, _, _) = self.make()
@@ -241,29 +186,16 @@ class TestWorklist:
         assert wl.push(a) is False
         assert len(wl) == 1
 
-    @pytest.mark.parametrize("strategy", ["fifo", "lifo", "priority"])
-    def test_pop_prunes_pending(self, strategy):
-        wl, (a, b, _) = self.make(strategy)
+    def test_pop_prunes_pending(self):
+        wl, (a, b, _) = self.make()
         wl.push(a)
         wl.push(b)
         popped = wl.pop()
         assert wl.push(popped) is True, "popped item must be re-queueable"
 
     def test_fifo_order(self):
-        wl, (a, b, c) = self.make("fifo")
+        wl, (a, b, c) = self.make()
         for p in (a, b, c):
-            wl.push(p)
-        assert [wl.pop(), wl.pop(), wl.pop()] == [a, b, c]
-
-    def test_lifo_order(self):
-        wl, (a, b, c) = self.make("lifo")
-        for p in (a, b, c):
-            wl.push(p)
-        assert [wl.pop(), wl.pop(), wl.pop()] == [c, b, a]
-
-    def test_priority_pops_lowest_rank(self):
-        wl, (a, b, c) = self.make("priority")
-        for p in (c, a, b):  # arrival order must not matter
             wl.push(p)
         assert [wl.pop(), wl.pop(), wl.pop()] == [a, b, c]
 

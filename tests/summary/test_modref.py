@@ -1,4 +1,4 @@
-"""MOD/REF summary and call-effect annotation tests."""
+"""MOD summary and call-effect annotation tests."""
 
 from repro.callgraph.callgraph import build_call_graph
 from repro.ir.instructions import Return
@@ -34,12 +34,6 @@ class TestDirectEffects:
         assert "g1" in names(mod)
         assert "y" in names(mod)
 
-    def test_direct_ref(self):
-        _, _, info = analyzed()
-        ref = info.ref["setg"]
-        assert "g2" in names(ref)
-        assert "y" in names(ref)
-
     def test_unmodified_global_not_in_mod(self):
         _, _, info = analyzed()
         assert "g2" not in names(info.mod["setg"])
@@ -57,10 +51,6 @@ class TestPropagation:
         assert "x" in names(info.mod["outer"])
         # MAIN passes N to OUTER: N may be modified.
         assert "n" in names(info.mod["main"])
-
-    def test_ref_propagates(self):
-        _, _, info = analyzed()
-        assert "g2" in names(info.ref["outer"])
 
     def test_recursion_converges(self):
         _, _, info = analyzed(

@@ -76,15 +76,25 @@ class TestAnalyze:
 
 
 class TestEngineFlags:
-    def test_solver_flag(self, program_file, capsys):
-        assert main(
-            ["analyze", program_file, "--solver", "priority", "--stats"]
-        ) == 0
-        assert "priority" in capsys.readouterr().out
-
     def test_unknown_solver_rejected(self, program_file):
         with pytest.raises(SystemExit):
             main(["analyze", program_file, "--solver", "chaos"])
+
+    @pytest.mark.parametrize("command", ["analyze", "batch", "serve"])
+    def test_solver_flag_is_a_usage_error(
+        self, command, program_file, tmp_path, capsys
+    ):
+        """One worklist discipline: ``--solver`` names none, its old
+        default included. argparse reads ``--solver`` as a prefix of
+        ``--solver-fuel``, which takes a count."""
+        target = (
+            ["--socket", str(tmp_path / "s.sock")] if command == "serve"
+            else [program_file]
+        )
+        with pytest.raises(SystemExit) as exited:
+            main([command, *target, "--solver", "fifo"])
+        assert exited.value.code == 2
+        assert "invalid int value: 'fifo'" in capsys.readouterr().err
 
     def test_cache_dir_output_matches_serial(
         self, program_file, tmp_path, capsys

@@ -417,7 +417,7 @@ HEAVY = ("repro.engine", "repro.opt", "repro.serve", "repro.oracle",
 #: process.
 UNCALLED = frozenset({
     "repro.obs.provenance", "repro.obs.log", "repro.obs.context",
-    "repro.ir.verify", "repro.ir.clone", "repro.ipcp.binding_graph",
+    "repro.ir.verify", "repro.ir.clone",
     "repro.ipcp.cloning", "repro.ipcp.inlining", "repro.ipcp.stats",
     "repro.analysis.loops", "repro.analysis.ssa_out", "repro.analysis.dce",
     "repro.profiling", "repro.obs.timeline", "repro.frontend.unit_memo",
@@ -473,12 +473,36 @@ def test_plain_requests_import_no_heavy_subsystem(sources):
 def test_serve_client_imports_no_analysis_or_daemon_code():
     """``repro client`` and the daemon's other clients load the client
     and the wire format only."""
-    loaded = _fresh(
+    loaded = set(_fresh(
         "import sys, repro.serve.client\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('repro')))\n"
-    ).split()
-    assert set(loaded) == {"repro", "repro._lazy", "repro.serve",
-                           "repro.serve.client", "repro.serve.protocol"}
+        "print(' '.join(m for m in sys.modules if m.startswith('repro') "
+        f"or m in {sorted(UNNEEDED_STDLIB)!r}))\n"
+    ).split())
+    assert not loaded & UNNEEDED_STDLIB
+    assert loaded == {"repro", "repro._lazy", "repro._record", "repro.serve",
+                      "repro.serve.client", "repro.serve.protocol"}
+
+
+def test_running_the_cli_module_compiles_it_once(tmp_path):
+    """``python -m repro.cli`` runs ``cli.py`` as ``__main__``; a
+    subcommand of :mod:`repro.cli_tools`, which imports its helpers from
+    ``repro.cli``, gets that module rather than a second compile of the
+    file (``-X importtime`` lists every module the import system
+    loads)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro.cli", "client",
+         "status", "--socket", str(tmp_path / "missing.sock")],
+        capture_output=True, text=True, env=env,
+    )
+    imported = {
+        line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "repro.cli_tools" in imported
+    assert "repro.cli" not in imported
 
 
 #: Modules only an engine with a cache runs.

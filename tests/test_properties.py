@@ -233,33 +233,6 @@ def test_complete_propagation_preserves_behaviour(seed, inputs):
     assert after.output == original.output
 
 
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_binding_graph_matches_worklist_solver(seed):
-    """The binding multi-graph formulation reaches the same fixpoint as
-    the call-graph worklist solver on arbitrary programs."""
-    from repro.ipcp.binding_graph import propagate_binding_graph
-    from repro.ipcp.driver import prepare_program
-    from repro.ipcp.jump_functions import build_forward_jump_functions
-    from repro.ipcp.return_functions import build_return_functions
-    from repro.ipcp.solver import propagate
-
-    source = generate_program(seed, FAST)
-    program = fresh_program(source)
-    config = AnalysisConfig()
-    callgraph, modref = prepare_program(program, config)
-    return_map = build_return_functions(program, callgraph, modref)
-    table = build_forward_jump_functions(
-        program, callgraph, config.jump_function, return_map
-    )
-    worklist = propagate(program, callgraph, table)
-    binding = propagate_binding_graph(program, callgraph, table)
-    for procedure in program:
-        assert binding.constants.constants_of(
-            procedure.name
-        ) == worklist.constants.constants_of(procedure.name)
-
-
 #: Characters chosen to break tokens in interesting ways: operators,
 #: brackets, characters no MiniFortran token contains, and quotes (which
 #: open unterminated strings).
